@@ -18,6 +18,7 @@ here too since it updates the same tensors.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -59,8 +60,9 @@ class Tensor:
     """A dense 2-D float64 array with an optional gradient buffer.
 
     Parameters are tensors created with ``requires_grad=True``; they
-    outlive tapes. Tensors returned by tape ops carry a reference to
-    the tape that produced them.
+    outlive tapes. Tensors returned by tape ops carry a weak reference
+    to the tape that produced them, so a tape and its entries are freed
+    as soon as the last outside reference to the tape goes.
     """
 
     __slots__ = ("value", "grad", "requires_grad", "name", "_tape")
@@ -70,7 +72,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self.name = name
-        self._tape: "Tape | None" = None
+        self._tape: "weakref.ref[Tape] | None" = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -115,6 +117,7 @@ class Tape:
         self.recording = True
         self.rng = np.random.default_rng(seed)
         self._backward_done = False
+        self._ref = weakref.ref(self)
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -143,7 +146,7 @@ class Tape:
         out = Tensor(value)
         if self.recording and any(t.requires_grad for t in inputs):
             out.requires_grad = True
-            out._tape = self
+            out._tape = self._ref
             self.entries.append(TapeEntry(op, inputs, out, backward(out)))
         return out
 
@@ -611,7 +614,7 @@ class Tape:
         if not isinstance(loss, Tensor) or loss.value.shape != (1, 1):
             shape = loss.value.shape if isinstance(loss, Tensor) else type(loss)
             raise ShapeError(f"backward: loss must be a 1 x 1 tensor, got {shape}")
-        if loss._tape is not self:
+        if loss._tape is not self._ref:
             raise RuntimeError("backward: loss was not produced on this tape")
         if self._backward_done:
             raise RuntimeError("backward already ran on this tape; call reset() first")

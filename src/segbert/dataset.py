@@ -4,9 +4,10 @@ A dataset directory holds ``<name>_A.txt`` (one directed arc per line,
 1-based global node ids), ``<name>_graph_indicator.txt`` (graph id per
 node), ``<name>_graph_labels.txt`` (label per graph) and optionally
 ``<name>_node_labels.txt`` / ``<name>_node_attributes.txt``. The loader
-converts global ids to per-graph local indices, collapses duplicate
-arcs (last weight wins, with a warning), completes symmetric storage,
-and remaps class labels and node tags to dense 0-based ranges.
+parses each file in one pass, converts global ids to per-graph local
+indices, drops duplicate arcs (with a warning naming the line),
+completes symmetric storage, and remaps class labels and node tags to
+dense 0-based ranges. Every arc has weight 1.0.
 """
 
 from __future__ import annotations
@@ -35,27 +36,61 @@ class DatasetError(Exception):
     """Malformed or missing dataset files; message names file and line."""
 
 
-@dataclass
-class GraphInstance:
-    """One graph: local node ids 0..node_count-1, symmetric edge list."""
+def _csr_from_arcs(n: int, edges) -> tuple:
+    """Sorted CSR arrays of an arc list; a repeated arc keeps its last weight."""
+    weight = {(i, j): w for i, j, w in edges}
+    arcs = sorted(weight)
+    counts = [0] * (n + 1)
+    for i, _j in arcs:
+        counts[i + 1] += 1
+    return (np.cumsum(counts, dtype=np.int64),
+            np.array([j for _i, j in arcs], dtype=np.int64),
+            np.array([weight[a] for a in arcs], dtype=np.float64))
 
-    node_count: int
-    edges: list  # [(i, j, weight)], both directions present
-    node_tags: list | None = None
-    node_attributes: np.ndarray | None = None
-    label: int = 0
+
+class GraphInstance:
+    """One graph: local node ids 0..node_count-1 in symmetric CSR storage.
+
+    Node i's neighbours, in increasing order, are
+    ``indices[indptr[i]:indptr[i + 1]]`` with connection ``weights``.
+    Build it from an arc list (``edges=[(i, j, w), ...]``) or the arrays.
+    """
+
+    def __init__(self, node_count: int, edges: list | None = None,
+                 node_tags: list | None = None,
+                 node_attributes: np.ndarray | None = None, label: int = 0,
+                 *, indptr=None, indices=None, weights=None):
+        self.node_count = int(node_count)
+        self.node_tags = node_tags
+        self.node_attributes = node_attributes
+        self.label = label
+        self._edges = edges
+        if indptr is None:
+            indptr, indices, weights = _csr_from_arcs(self.node_count, edges or [])
+        self.indptr, self.indices = indptr, indices
+        self.weights = np.ones(len(indices)) if weights is None else weights
+
+    def arc_rows(self) -> np.ndarray:
+        """Source node of every stored arc, aligned with ``indices``."""
+        return np.arange(self.node_count).repeat(self.indptr[1:] - self.indptr[:-1])
+
+    @property
+    def edges(self) -> list:
+        """[(i, j, weight)], both directions present, sorted."""
+        if self._edges is None:
+            self._edges = list(zip(self.arc_rows().tolist(), self.indices.tolist(),
+                                   self.weights.tolist()))
+        return self._edges
 
     def neighbor_sets(self) -> list[set]:
-        out = [set() for _ in range(self.node_count)]
-        for i, j, _w in self.edges:
-            out[i].add(j)
-        return out
+        ptr, nbrs = self.indptr.tolist(), self.indices.tolist()
+        return [set(nbrs[ptr[i]:ptr[i + 1]]) for i in range(self.node_count)]
 
     @property
     def undirected_edge_count(self) -> int:
         # self-loops appear once in the arc list, other edges twice
-        loops = sum(1 for i, j, _ in self.edges if i == j)
-        return (len(self.edges) - loops) // 2 + loops
+        loops = int(np.count_nonzero(self.arc_rows() == self.indices))
+        return (len(self.indices) - loops) // 2 + loops
 
 
 @dataclass
@@ -86,13 +121,13 @@ class FoldSplit:
 def weight_matrix(g: GraphInstance) -> np.ndarray:
     """Dense node_count x node_count connection-weight matrix."""
     w = np.zeros((g.node_count, g.node_count))
-    for i, j, wt in g.edges:
-        w[i, j] = wt
+    w[g.arc_rows(), g.indices] = g.weights
     return w
 
 
 # ----------------------------------------------------------------------
-# loading
+# loading: one np.loadtxt call per file; if it fails or a check finds
+# a bad value, the line reader runs only to name the offending line
 
 
 def _read_lines(path: str) -> list[str]:
@@ -111,153 +146,185 @@ def _parse_int(text: str, path: str, lineno: int, what: str) -> int:
         ) from None
 
 
-def load_tu_dataset(directory: str, name: str) -> GraphDataset:
-    """Load ``<name>_*.txt`` from directory into a GraphDataset."""
-    prefix = os.path.join(directory, name)
-    indicator_path = prefix + "_graph_indicator.txt"
-    labels_path = prefix + "_graph_labels.txt"
-    edges_path = prefix + "_A.txt"
+def _load_table(path: str, dtype, columns: int | None = None):
+    """Whole-file parse of comma-separated values; None if irregular."""
+    if not os.path.isfile(path):
+        raise DatasetError(f"missing dataset file: {path}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty file
+            table = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2,
+                               comments=None, encoding="utf-8")
+    except ValueError:
+        return None
+    if columns is not None and table.size == 0:
+        return table.reshape(0, columns)
+    if columns is not None and table.shape[1] != columns:
+        return None
+    return table
 
-    indicator_lines = _read_lines(indicator_path)
-    node_graph = [
-        _parse_int(line, indicator_path, i + 1, "graph id")
-        for i, line in enumerate(indicator_lines)
-        if line.strip()
-    ]
-    if not node_graph:
-        raise DatasetError(f"{indicator_path}: no nodes listed")
-    graph_count = max(node_graph)
-    if min(node_graph) < 1:
-        raise DatasetError(f"{indicator_path}: graph ids are 1-based")
 
-    # global node id (1-based) -> (graph index, local node index)
-    local_of = []
-    counts = [0] * graph_count
-    for gid in node_graph:
-        g = gid - 1
-        local_of.append((g, counts[g]))
-        counts[g] += 1
-    for g, c in enumerate(counts):
-        if c == 0:
-            raise DatasetError(
-                f"{indicator_path}: graph {g + 1} has no nodes (ids must cover 1..{graph_count})")
+def _int_column(path: str, what: str, count: int | None = None,
+                noun: str = "", of: str = "") -> np.ndarray:
+    """One integer per non-blank line; ``count`` lines expected if given,
+    and then error line numbers count only the non-blank lines."""
+    table = _load_table(path, np.int64, 1)
+    lines = [] if table is not None else [
+        (i, ln) for i, ln in enumerate(_read_lines(path), start=1) if ln.strip()]
+    found = len(lines) if table is None else len(table)
+    if count is not None and found != count:
+        raise DatasetError(f"{path}: {found} {noun} for {count} {of}")
+    if table is not None:
+        return table[:, 0]
+    if count is not None:
+        lines = [(i, ln) for i, (_, ln) in enumerate(lines, start=1)]
+    return np.array([_parse_int(ln, path, i, what) for i, ln in lines], dtype=np.int64)
 
-    label_lines = [ln for ln in _read_lines(labels_path) if ln.strip()]
-    if len(label_lines) != graph_count:
-        raise DatasetError(
-            f"{labels_path}: {len(label_lines)} labels for {graph_count} graphs")
-    raw_labels = [
-        _parse_int(line, labels_path, i + 1, "graph label")
-        for i, line in enumerate(label_lines)
-    ]
-    label_map = {orig: dense for dense, orig in enumerate(sorted(set(raw_labels)))}
 
-    # per-graph arc dicts, duplicates collapse with last weight
-    arcs: list[dict] = [dict() for _ in range(graph_count)]
-    n_nodes = len(node_graph)
-    for lineno, line in enumerate(_read_lines(edges_path), start=1):
+def _scan_arcs(path: str, graph_of: list) -> np.ndarray:
+    """Line-by-line arc reader: raises at the first bad line, warns per
+    duplicate arc, and returns the (u, v) rows."""
+    n_nodes = len(graph_of)
+    seen: set = set()
+    rows = []
+    for lineno, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 2:
-            raise DatasetError(
-                f"{edges_path}:{lineno}: expected 'i, j', got {line.strip()!r}")
-        u = _parse_int(parts[0], edges_path, lineno, "node id")
-        v = _parse_int(parts[1], edges_path, lineno, "node id")
+            raise DatasetError(f"{path}:{lineno}: expected 'i, j', got {line.strip()!r}")
+        u = _parse_int(parts[0], path, lineno, "node id")
+        v = _parse_int(parts[1], path, lineno, "node id")
         if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
-            raise DatasetError(
-                f"{edges_path}:{lineno}: node id out of range 1..{n_nodes}")
-        gu, lu = local_of[u - 1]
-        gv, lv = local_of[v - 1]
+            raise DatasetError(f"{path}:{lineno}: node id out of range 1..{n_nodes}")
+        gu, gv = graph_of[u - 1], graph_of[v - 1]
         if gu != gv:
-            raise DatasetError(
-                f"{edges_path}:{lineno}: edge joins graphs {gu + 1} and {gv + 1}")
-        if (lu, lv) in arcs[gu]:
-            warnings.warn(
-                f"{edges_path}:{lineno}: duplicate edge ({u}, {v}), keeping last weight",
-                stacklevel=2)
-        arcs[gu][(lu, lv)] = 1.0
+            raise DatasetError(f"{path}:{lineno}: edge joins graphs {gu + 1} and {gv + 1}")
+        if (u, v) in seen:
+            warnings.warn(f"{path}:{lineno}: duplicate edge ({u}, {v})", stacklevel=3)
+        seen.add((u, v))
+        rows.append((u, v))
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
-    # optional node tags
+
+def _dense_map(values: np.ndarray) -> tuple:
+    """(original -> dense dict, dense array) for sorted distinct values."""
+    ordered = np.sort(values)
+    distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+    return ({int(v): i for i, v in enumerate(distinct.tolist())},
+            np.searchsorted(distinct, values))
+
+
+def load_tu_dataset(directory: str, name: str) -> GraphDataset:
+    """Load ``<name>_*.txt`` from directory into a GraphDataset."""
+    prefix = os.path.join(directory, name)
+    indicator_path = prefix + "_graph_indicator.txt"
+    edges_path = prefix + "_A.txt"
+
+    node_graph = _int_column(indicator_path, "graph id") - 1
+    n_nodes = len(node_graph)
+    if n_nodes == 0:
+        raise DatasetError(f"{indicator_path}: no nodes listed")
+    graph_count = int(node_graph.max()) + 1
+    if node_graph.min() < 0:
+        raise DatasetError(f"{indicator_path}: graph ids are 1-based")
+    counts = np.bincount(node_graph, minlength=graph_count)
+    if not counts.all():
+        raise DatasetError(
+            f"{indicator_path}: graph {int(np.argmin(counts)) + 1} has no nodes "
+            f"(ids must cover 1..{graph_count})")
+    # nodes of one graph may be interleaved in pathological files, so
+    # local ids come from a stable sort by graph rather than slicing
+    starts = np.zeros(graph_count + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    by_graph = np.argsort(node_graph, kind="stable")  # graph-major order
+    position = np.empty(n_nodes, dtype=np.int64)  # global node -> graph-major
+    position[by_graph] = np.arange(n_nodes)
+    local = position - starts[node_graph]
+
+    raw_labels = _int_column(prefix + "_graph_labels.txt", "graph label",
+                             graph_count, "labels", "graphs")
+    label_map, labels = _dense_map(raw_labels)
+
+    arcs = _load_table(edges_path, np.int64, 2)
+    if arcs is not None:
+        u, v = arcs[:, 0] - 1, arcs[:, 1] - 1
+        regular = bool(((u >= 0) & (u < n_nodes) & (v >= 0) & (v < n_nodes)).all())
+        if regular:
+            key = np.sort(u * n_nodes + v)
+            regular = bool((node_graph[u] == node_graph[v]).all()
+                           and (key[1:] != key[:-1]).all())
+    if arcs is None or not regular:
+        arcs = _scan_arcs(edges_path, node_graph.tolist())
+
     tags_path = prefix + "_node_labels.txt"
-    tags: list | None = None
+    tags = None
     tag_map: dict = {}
     if os.path.isfile(tags_path):
-        tag_lines = [ln for ln in _read_lines(tags_path) if ln.strip()]
-        if len(tag_lines) != n_nodes:
-            raise DatasetError(
-                f"{tags_path}: {len(tag_lines)} tags for {n_nodes} nodes")
-        raw_tags = [
-            _parse_int(line, tags_path, i + 1, "node tag")
-            for i, line in enumerate(tag_lines)
-        ]
-        tag_map = {orig: dense for dense, orig in enumerate(sorted(set(raw_tags)))}
-        tags = [tag_map[t] for t in raw_tags]
+        raw_tags = _int_column(tags_path, "node tag", n_nodes, "tags", "nodes")
+        tag_map, tags = _dense_map(raw_tags)
+        tags = tags[by_graph].tolist()
 
-    # optional node attributes
     attrs_path = prefix + "_node_attributes.txt"
-    attrs: np.ndarray | None = None
+    attrs = None
     if os.path.isfile(attrs_path):
-        attr_lines = [ln for ln in _read_lines(attrs_path) if ln.strip()]
-        if len(attr_lines) != n_nodes:
-            raise DatasetError(
-                f"{attrs_path}: {len(attr_lines)} attribute rows for {n_nodes} nodes")
-        rows = []
-        for i, line in enumerate(attr_lines):
-            try:
-                rows.append([float(p) for p in line.split(",")])
-            except ValueError:
-                raise DatasetError(
-                    f"{attrs_path}:{i + 1}: malformed attribute row {line.strip()!r}"
-                ) from None
-        width = len(rows[0])
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise DatasetError(
-                    f"{attrs_path}:{i + 1}: expected {width} values, got {len(row)}")
-        attrs = np.asarray(rows, dtype=np.float64)
+        attrs = _load_table(attrs_path, np.float64)
+        if attrs is None or len(attrs) != n_nodes:
+            attrs = _scan_attributes(attrs_path, n_nodes)
+        attrs = attrs[by_graph]
+
+    # symmetric completion: both directions of every arc as one int64
+    # key (graph-major row, local column), sorted, repeats masked out
+    u, v = arcs[:, 0] - 1, arcs[:, 1] - 1
+    width = int(counts.max())
+    key = np.sort(np.concatenate([position[u] * width + local[v],
+                                  position[v] * width + local[u]]))
+    key = key[np.append(True, key[1:] != key[:-1])]
+    rows, cols = np.divmod(key, width)
+    row_ptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_nodes), out=row_ptr[1:])
+    ones = np.ones(len(cols))
 
     graphs = []
     for g in range(graph_count):
-        n = counts[g]
-        # complete symmetric storage, then validate it
-        sym = dict(arcs[g])
-        for (i, j), w in arcs[g].items():
-            sym.setdefault((j, i), w)
-        for (i, j), w in sym.items():
-            if sym[(j, i)] != w:
-                raise DatasetError(
-                    f"{edges_path}: graph {g + 1} stores edge ({i}, {j}) "
-                    f"with asymmetric weights")
-        edges = sorted((i, j, w) for (i, j), w in sym.items())
-        graphs.append(GraphInstance(node_count=n, edges=edges,
-                                    label=label_map[raw_labels[g]]))
+        lo, hi = starts[g], starts[g + 1]
+        a, b = row_ptr[lo], row_ptr[hi]
+        graphs.append(GraphInstance(
+            node_count=hi - lo, label=int(labels[g]),
+            node_tags=None if tags is None else tags[lo:hi],
+            node_attributes=None if attrs is None else attrs[lo:hi],
+            indptr=row_ptr[lo:hi + 1] - a, indices=cols[a:b], weights=ones[a:b]))
 
-    if tags is not None or attrs is not None:
-        # nodes of one graph may be interleaved in pathological files;
-        # rebuild per-graph orderings from local_of instead of slicing
-        per_graph_nodes: list[list[int]] = [[] for _ in range(graph_count)]
-        for global_idx, (g, local) in enumerate(local_of):
-            per_graph_nodes[g].append(global_idx)
-        for g in range(graph_count):
-            order = per_graph_nodes[g]
-            if tags is not None:
-                graphs[g].node_tags = [tags[idx] for idx in order]
-            if attrs is not None:
-                graphs[g].node_attributes = attrs[order]
-
-    sizes = [g.node_count for g in graphs]
     return GraphDataset(
         name=name,
         graphs=graphs,
         class_count=len(label_map),
         attr_dim=0 if attrs is None else attrs.shape[1],
         tag_vocab_size=len(tag_map),
-        max_nodes=max(sizes),
-        avg_nodes=float(np.mean(sizes)),
+        max_nodes=width,
+        avg_nodes=float(np.mean(counts)),
         label_map=label_map,
         tag_map=tag_map,
     )
+
+
+def _scan_attributes(path: str, n_nodes: int) -> np.ndarray:
+    """Line-by-line attribute reader with per-line error messages."""
+    lines = [ln for ln in _read_lines(path) if ln.strip()]
+    if len(lines) != n_nodes:
+        raise DatasetError(f"{path}: {len(lines)} attribute rows for {n_nodes} nodes")
+    rows = []
+    for i, line in enumerate(lines):
+        try:
+            rows.append([float(p) for p in line.split(",")])
+        except ValueError:
+            raise DatasetError(
+                f"{path}:{i + 1}: malformed attribute row {line.strip()!r}") from None
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise DatasetError(f"{path}:{i + 1}: expected {width} values, got {len(row)}")
+    return np.asarray(rows, dtype=np.float64)
 
 
 # ----------------------------------------------------------------------
@@ -276,16 +343,11 @@ def write_tu_dataset(dataset: GraphDataset, directory: str) -> None:
     inv_label = {v: k for k, v in dataset.label_map.items()} or None
     inv_tag = {v: k for k, v in dataset.tag_map.items()} or None
 
-    offsets = []
-    total = 0
-    for g in dataset.graphs:
-        offsets.append(total)
-        total += g.node_count
+    offsets = np.cumsum([0] + [g.node_count for g in dataset.graphs]).tolist()
 
     with open(prefix + "_graph_indicator.txt", "w", encoding="utf-8") as fh:
         for gi, g in enumerate(dataset.graphs, start=1):
-            for _ in range(g.node_count):
-                fh.write(f"{gi}\n")
+            fh.write(f"{gi}\n" * g.node_count)
 
     with open(prefix + "_graph_labels.txt", "w", encoding="utf-8") as fh:
         for g in dataset.graphs:

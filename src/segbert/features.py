@@ -9,6 +9,7 @@ vectors through the same sinusoidal value embedding.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,7 +18,7 @@ import numpy as np
 from .dataset import GraphDataset, GraphInstance
 
 __all__ = [
-    "NodeFeatureBundle",
+    "GraphFeatures",
     "compute_degrees",
     "compute_wl_codes",
     "dataset_wl_codes",
@@ -32,76 +33,76 @@ DEFAULT_WL_ITERATIONS = 2
 
 def compute_degrees(g: GraphInstance) -> np.ndarray:
     """Distinct-neighbor count per node; a self-loop counts once."""
-    degs = np.zeros(g.node_count, dtype=np.int64)
-    for i, nbrs in enumerate(g.neighbor_sets()):
-        degs[i] = len(nbrs)
-    return degs
+    return g.indptr[1:] - g.indptr[:-1]
 
 
 # ----------------------------------------------------------------------
 # Weisfeiler-Lehman color refinement
 
 
-def _partition(colors: list) -> list:
-    groups: dict = {}
-    for i, c in enumerate(colors):
-        groups.setdefault(c, []).append(i)
-    return sorted(tuple(v) for v in groups.values())
-
-
-def _refine_graph(g: GraphInstance, iterations: int, table: dict) -> list:
-    """Refine one graph against a shared signature table.
-
-    The signature of a node is (own color, sorted multiset of neighbor
-    colors); the table assigns each distinct signature a fresh integer,
-    which keeps relabeling injective across every graph sharing the
-    table. Each computed round is adopted; refinement stops early once
-    a round leaves the color partition unchanged, since further rounds
-    could only relabel the same groups.
-    """
-
-    def code_of(key):
-        if key not in table:
-            table[key] = len(table)
-        return table[key]
-
-    nbrs = g.neighbor_sets()
-    if g.node_tags is not None:
-        colors = [code_of(("init", int(t))) for t in g.node_tags]
-    else:
-        colors = [code_of(("init", len(nbrs[i]))) for i in range(g.node_count)]
-    for _ in range(max(int(iterations), 0)):
-        new = [
-            code_of((colors[i], tuple(sorted(colors[j] for j in nbrs[i]))))
-            for i in range(g.node_count)
-        ]
-        stable = _partition(new) == _partition(colors)
-        colors = new
-        if stable:
-            break
-    return colors
-
-
 def dataset_wl_codes(graphs: Sequence[GraphInstance],
                      iterations: int = DEFAULT_WL_ITERATIONS) -> list:
     """WL codes for a whole collection under one shared dictionary.
 
-    Final colors are compressed to a dense 0..C-1 range in order of
-    first appearance, so codes are comparable across graphs: two nodes
-    share a code exactly when refinement cannot tell them apart.
+    A node starts from its tag, or its degree when the graph has no
+    tags. Each round recolors the nodes of still-refining graphs by
+    signature (own color, sorted multiset of neighbor colors) through
+    one table shared by all graphs. A graph stops once a round, which
+    is still adopted, leaves its class count (so its partition) unchanged.
+    Final colors are numbered 0..C-1 in order of first appearance.
     """
+    if not graphs:
+        return []
+    sizes = [g.node_count for g in graphs]
+    bounds = [0, *itertools.accumulate(sizes)]
+    per_graph = [compute_degrees(g) for g in graphs]
+    degrees = np.concatenate(per_graph)
+    owner = np.arange(bounds[-1]).repeat(degrees)
+    neighbor = np.concatenate([g.indices + lo for g, lo in zip(graphs, bounds)])
+    init = np.concatenate([d if g.node_tags is None else np.asarray(g.node_tags).reshape(-1)
+                           for g, d in zip(graphs, per_graph)])
     table: dict = {}
-    raw = [_refine_graph(g, iterations, table) for g in graphs]
-    dense: dict = {}
-    out = []
-    for colors in raw:
-        row = []
-        for c in colors:
-            if c not in dense:
-                dense[c] = len(dense)
-            row.append(dense[c])
-        out.append(row)
-    return out
+    flat = [table.setdefault(v, len(table)) for v in init.tolist()]
+    colors = np.array(flat, dtype=np.int64)
+    span = len(table)  # colors lie in 0..span-1
+    counts = [len(set(flat[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    live = list(range(len(graphs)))  # graphs still refining
+    nodes = slice(None)  # their nodes, in graph order
+    ends = (degrees.cumsum() * 8).tolist()  # byte ends of their multisets
+    for r in range(max(int(iterations), 0)):
+        # one sort groups each node's neighbor colors, in order; a
+        # node's multiset is then one slice of the bytes
+        key = np.sort(owner * span + colors[neighbor])
+        multisets = (key % span).tobytes()
+        table = {}
+        fresh = [table.setdefault((c, multisets[lo:hi]), len(table))
+                 for c, lo, hi in zip(colors[nodes].tolist(), [0, *ends], ends)]
+        colors[nodes] = np.array(fresh, dtype=np.int64) + span
+        span += len(table)
+        if r == int(iterations) - 1:
+            break
+        still, lo = [], 0
+        for g in live:
+            hi = lo + sizes[g]
+            count = len(set(fresh[lo:hi]))
+            if count != counts[g]:
+                still.append(g)
+                counts[g] = count
+            lo = hi
+        if len(still) < len(live):
+            live = still
+            keep = np.zeros(len(graphs), dtype=bool)
+            keep[live] = True
+            keep = keep.repeat(sizes)
+            arcs = keep[owner]
+            owner, neighbor = owner[arcs], neighbor[arcs]
+            nodes = np.flatnonzero(keep)
+            ends = (degrees[nodes].cumsum() * 8).tolist()
+            if not live:
+                break
+    table = {}
+    flat = [table.setdefault(c, len(table)) for c in colors.tolist()]
+    return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def compute_wl_codes(g: GraphInstance,
@@ -139,38 +140,26 @@ def sinusoid_rows(values, d_h: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# bundles
+# per-graph feature arrays
 
 
 @dataclass
-class NodeFeatureBundle:
-    """Everything the model needs to embed one node.
+class GraphFeatures:
+    """Everything the model needs to embed the nodes of one graph: row i
+    of each array is node i. Adjacency rows follow the fixed node order,
+    truncated or zero-padded to n_adj columns."""
 
-    The adjacency row follows the graph's fixed artificial node order
-    and is truncated or zero-padded to length n_adj. ``tag`` rides
-    along for datasets with discrete node labels; dummy slots use
-    ``tag None`` so their attribute channel stays exactly zero.
-    """
-
-    degree: int
-    wl_code: int
-    adjacency_row: np.ndarray
-    raw_attr: np.ndarray
-    tag: int | None = None
-
-
-def _adjacency_rows(g: GraphInstance, n_adj: int) -> np.ndarray:
-    rows = np.zeros((g.node_count, n_adj))
-    for i, j, w in g.edges:
-        if j < n_adj:
-            rows[i, j] = w
-    return rows
+    degrees: np.ndarray  # (n,) int64
+    wl_codes: np.ndarray  # (n,) int64
+    adjacency: np.ndarray  # (n, n_adj)
+    tags: np.ndarray | None  # (n,) int64
+    attributes: np.ndarray | None  # (n, attr_dim)
 
 
 def build_bundles(g: GraphInstance, n_adj: int,
                   wl_iterations: int = DEFAULT_WL_ITERATIONS,
-                  wl_codes: Sequence[int] | None = None) -> list:
-    """Per-node bundles for one graph.
+                  wl_codes: Sequence[int] | None = None) -> GraphFeatures:
+    """Feature arrays of one graph.
 
     Pass ``wl_codes`` from :func:`dataset_wl_codes` to keep codes
     comparable across a dataset; without it the graph gets a private
@@ -181,29 +170,19 @@ def build_bundles(g: GraphInstance, n_adj: int,
     if len(wl_codes) != g.node_count:
         raise ValueError(
             f"wl_codes length {len(wl_codes)} does not match {g.node_count} nodes")
-    degs = compute_degrees(g)
-    adj = _adjacency_rows(g, n_adj)
-    empty = np.zeros(0)
-    bundles = []
-    for i in range(g.node_count):
-        attr = g.node_attributes[i].astype(np.float64) \
-            if g.node_attributes is not None else empty
-        tag = int(g.node_tags[i]) if g.node_tags is not None else None
-        bundles.append(NodeFeatureBundle(
-            degree=int(degs[i]),
-            wl_code=int(wl_codes[i]),
-            adjacency_row=adj[i],
-            raw_attr=attr,
-            tag=tag,
-        ))
-    return bundles
+    keep = g.indices < n_adj
+    adjacency = np.zeros((g.node_count, n_adj))
+    adjacency[g.arc_rows()[keep], g.indices[keep]] = g.weights[keep]
+    return GraphFeatures(
+        compute_degrees(g), np.asarray(wl_codes, dtype=np.int64), adjacency,
+        tags=None if g.node_tags is None else np.asarray(g.node_tags, dtype=np.int64),
+        attributes=None if g.node_attributes is None
+        else np.asarray(g.node_attributes, dtype=np.float64))
 
 
 def dataset_bundles(dataset: GraphDataset, n_adj: int,
                     wl_iterations: int = DEFAULT_WL_ITERATIONS) -> list:
-    """Bundles for every graph, WL codes shared dataset-wide."""
+    """Feature arrays for every graph, WL codes shared dataset-wide."""
     codes = dataset_wl_codes(dataset.graphs, wl_iterations)
-    return [
-        build_bundles(g, n_adj, wl_iterations, wl_codes=c)
-        for g, c in zip(dataset.graphs, codes)
-    ]
+    return [build_bundles(g, n_adj, wl_iterations, wl_codes=c)
+            for g, c in zip(dataset.graphs, codes)]

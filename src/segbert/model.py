@@ -26,8 +26,8 @@ import numpy as np
 
 from .autodiff import Tape, Tensor
 from .dataset import GraphDataset, GraphInstance, weight_matrix
-from .features import dataset_bundles, sinusoid_rows
-from .unify import Segment, Strategy, UnifyPlan, resolve_n_adj, unify
+from .features import GraphFeatures, dataset_bundles, sinusoid_rows
+from .unify import UnifyPlan, resolve_n_adj, unify
 
 __all__ = [
     "ModelConfig",
@@ -163,9 +163,11 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02,
                   bound: float = 2.0) -> np.ndarray:
     out = rng.standard_normal(shape)
     bad = np.abs(out) > bound
-    while bad.any():
-        out[bad] = rng.standard_normal(int(bad.sum()))
+    count = np.count_nonzero(bad)
+    while count:
+        out[bad] = rng.standard_normal(count)
         bad = np.abs(out) > bound
+        count = np.count_nonzero(bad)
     return out * std
 
 
@@ -181,7 +183,7 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
                                requires_grad=True, name=name)
 
     def bias(name, cols, value=0.0):
-        tensors[name] = Tensor(np.full((1, cols), value),
+        tensors[name] = Tensor(np.zeros((1, cols)) + value,
                                requires_grad=True, name=name)
 
     weight("adj_embed.fc1.weight", config.n_adj, d)
@@ -241,67 +243,47 @@ class GraphInputs:
         return self.const_rows.shape[0]
 
 
-def prepare_graph(g: GraphInstance, bundles: list, plan: UnifyPlan,
+def prepare_graph(g: GraphInstance, features: GraphFeatures, plan: UnifyPlan,
                   config: ModelConfig, order=None) -> GraphInputs:
-    segments = unify(g, plan, bundles=bundles, order=order)
+    segments = unify(g, plan, order=order)
+    slot_node = np.array([-1 if i is None else i for s in segments for i in s.node_ids],
+                         dtype=np.int64)
+    dummy = slot_node < 0
     d = config.hidden_dim
-    rows = sum(s.slot_count for s in segments)
 
-    degrees = np.zeros(rows)
-    wl = np.zeros(rows)
-    adj = np.zeros((rows, config.n_adj))
-    attr = np.zeros((rows, config.attr_dim)) if config.attr_dim > 0 else None
-    tag_vals = np.zeros(rows)
-    tag_mask = np.zeros(rows, dtype=bool)
-    slot_node: list = []
+    def gather(per_node, dtype=None):
+        """Per-slot rows of a per-node array; zero at dummy slots."""
+        out = np.asarray(per_node[slot_node], dtype=dtype)
+        out[dummy] = 0
+        return out
 
-    r = 0
-    for seg in segments:
-        for b, node_id in zip(seg.bundles, seg.node_ids):
-            degrees[r] = b.degree
-            wl[r] = b.wl_code
-            adj[r] = b.adjacency_row
-            if attr is not None and b.raw_attr.size:
-                attr[r] = b.raw_attr
-            if b.tag is not None:
-                tag_vals[r] = b.tag
-                tag_mask[r] = True
-            slot_node.append(node_id)
-            r += 1
+    const = (sinusoid_rows(gather(features.degrees, np.float64), d)
+             + sinusoid_rows(gather(features.wl_codes, np.float64), d))
+    if config.attr_dim == 0 and config.use_tags and features.tags is not None:
+        tag_rows = sinusoid_rows(gather(features.tags, np.float64), d)
+        tag_rows[dummy] = 0.0
+        const += tag_rows
+    adj = gather(features.adjacency)
+    attr = None
+    if config.attr_dim > 0:
+        attr = (np.zeros((len(slot_node), config.attr_dim)) if features.attributes is None
+                else gather(features.attributes))
 
-    const = sinusoid_rows(degrees, d) + sinusoid_rows(wl, d)
-    if config.attr_dim == 0 and config.use_tags:
-        tag_rows = sinusoid_rows(tag_vals, d)
-        tag_rows[~tag_mask] = 0.0
-        const = const + tag_rows
-
-    real = np.array([i for i, node in enumerate(slot_node) if node is not None])
-    kept = np.array([slot_node[i] for i in real])
-    by_node = np.argsort(kept, kind="stable")
+    real = np.flatnonzero(~dummy)
+    by_node = np.argsort(slot_node[real], kind="stable")
     real = real[by_node]
-    kept = kept[by_node]
-
-    raw = attr if attr is not None else adj
-    return GraphInputs(
-        graph=g,
-        segments=segments,
-        const_rows=const,
-        adj_rows=adj,
-        attr_rows=attr,
-        raw_rows=raw,
-        real_slots=real,
-        kept_nodes=kept,
-        label=g.label,
-    )
+    return GraphInputs(graph=g, segments=segments, const_rows=const, adj_rows=adj,
+                       attr_rows=attr, raw_rows=adj if attr is None else attr,
+                       real_slots=real, kept_nodes=slot_node[real], label=g.label)
 
 
 def prepare_dataset(dataset: GraphDataset, plan: UnifyPlan,
                     config: ModelConfig) -> list:
     """GraphInputs for every graph, with the shared WL dictionary."""
-    bundles = dataset_bundles(dataset, config.n_adj, config.wl_iterations)
+    features = dataset_bundles(dataset, config.n_adj, config.wl_iterations)
     return [
-        prepare_graph(g, b, plan, config)
-        for g, b in zip(dataset.graphs, bundles)
+        prepare_graph(g, f, plan, config)
+        for g, f in zip(dataset.graphs, features)
     ]
 
 

@@ -4,7 +4,7 @@ Three strategies. FullInput sizes every instance to the dataset
 maximum; PaddingPruning uses a per-dataset budget k, padding small
 graphs and keeping only the first k nodes of the serialization order
 for large ones; SegmentShifting chops the node sequence into ceil(n/k)
-segments of k slots. Dummy slots carry all-zero bundles, sit at the
+segments of k slots. Dummy slots carry all-zero features, sit at the
 tail of the last segment, take part in attention like any other slot,
 and are excluded from fusion and losses downstream.
 """
@@ -18,7 +18,6 @@ from enum import Enum
 import numpy as np
 
 from .dataset import GraphDataset, GraphInstance
-from .features import NodeFeatureBundle
 
 __all__ = [
     "Strategy",
@@ -71,7 +70,6 @@ class Segment:
     slot_count: int
     node_ids: list
     real_mask: np.ndarray
-    bundles: list | None = None
 
 
 def _named_padding_k(name: str) -> int | None:
@@ -134,24 +132,12 @@ def segment_count(node_count: int, k: int) -> int:
     return max(1, math.ceil(node_count / k))
 
 
-def _zero_bundle(like: NodeFeatureBundle) -> NodeFeatureBundle:
-    return NodeFeatureBundle(
-        degree=0,
-        wl_code=0,
-        adjacency_row=np.zeros_like(like.adjacency_row),
-        raw_attr=np.zeros_like(like.raw_attr),
-        tag=None,
-    )
-
-
-def unify(g: GraphInstance, plan: UnifyPlan, bundles: list | None = None,
-          order=None) -> list:
+def unify(g: GraphInstance, plan: UnifyPlan, order=None) -> list:
     """Slot assignment for one graph; returns a list of Segments.
 
     ``order`` optionally re-serializes the nodes (a permutation of
     0..n-1). Pruning keeps the first k entries of that order;
-    segmenting chops it into consecutive runs. Bundles, when given,
-    are indexed by original node id and dummies get the zero bundle.
+    segmenting chops it into consecutive runs.
     """
     n = g.node_count
     if order is None:
@@ -160,8 +146,6 @@ def unify(g: GraphInstance, plan: UnifyPlan, bundles: list | None = None,
         order = [int(i) for i in order]
         if sorted(order) != list(range(n)):
             raise ValueError("order must be a permutation of the node indices")
-    if bundles is not None and len(bundles) != n:
-        raise ValueError(f"expected {n} bundles, got {len(bundles)}")
     k = plan.k
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -185,14 +169,5 @@ def unify(g: GraphInstance, plan: UnifyPlan, bundles: list | None = None,
         pad = k - len(ids)
         slot_ids = list(ids) + [None] * pad
         mask = np.array([i is not None for i in slot_ids], dtype=bool)
-        seg_bundles = None
-        if bundles is not None:
-            zero = _zero_bundle(bundles[0])
-            seg_bundles = [bundles[i] if i is not None else zero for i in slot_ids]
-        segments.append(Segment(
-            slot_count=k,
-            node_ids=slot_ids,
-            real_mask=mask,
-            bundles=seg_bundles,
-        ))
+        segments.append(Segment(slot_count=k, node_ids=slot_ids, real_mask=mask))
     return segments

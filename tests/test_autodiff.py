@@ -451,3 +451,39 @@ def test_constants_do_not_collect_gradients():
     tape.backward(loss)
     assert c.grad is None
     assert x.grad is not None
+
+
+def test_tape_freed_by_refcount_after_backward():
+    """No reference cycle keeps a finished tape alive: with the cycle
+    collector off, dropping the last outside reference frees it."""
+    import gc
+    import weakref
+
+    from segbert.features import build_bundles
+    from segbert.gradcheck import toy_graph
+    from segbert.model import (ModelConfig, build_batch, classify_batch, init_params,
+                               prepare_graph)
+    from segbert.unify import Strategy, UnifyPlan
+
+    g = toy_graph()
+    cfg = ModelConfig(hidden_dim=4, head_count=2, intermediate_dim=4, class_count=2,
+                      attr_dim=3, use_tags=True, n_adj=5, segment_k=5,
+                      residual_mode="raw")
+    params = init_params(cfg, seed=0)
+    gi = prepare_graph(g, build_bundles(g, n_adj=5), UnifyPlan(Strategy.FULL_INPUT, 5), cfg)
+    batch = build_batch([gi], cfg.class_count)
+
+    def step():
+        tape = Tape(seed=0)
+        loss, _logits = classify_batch(tape, params, cfg, batch, training=True)
+        tape.backward(loss)
+        assert len(tape.entries) > 50
+        return weakref.ref(tape)
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert step()() is None
+    finally:
+        if was_enabled:
+            gc.enable()

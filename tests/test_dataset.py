@@ -8,6 +8,7 @@ import pytest
 from segbert.dataset import (
     DatasetError,
     FoldSplit,
+    GraphInstance,
     load_tu_dataset,
     make_folds,
     weight_matrix,
@@ -228,3 +229,96 @@ def test_fold_ratio_roughly_8_1_1():
         assert len(f.test) == 10
         assert len(f.val) == 10
         assert len(f.train) == 80
+
+
+# ----------------------------------------------------------------------
+# irregular files: the whole-file parse falls back to the line reader
+
+
+def write_raw(tmp_path, a, indicator="1\n1\n2\n2\n", labels="0\n1\n",
+              node_labels=None, name="RAW"):
+    """Write the files verbatim, so line endings and blanks are exact."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    for suffix, text in (("A", a), ("graph_indicator", indicator),
+                         ("graph_labels", labels), ("node_labels", node_labels)):
+        if text is not None:
+            (tmp_path / f"{name}_{suffix}.txt").write_bytes(text.encode())
+    return str(tmp_path), str(tmp_path / f"{name}_A.txt")
+
+
+def graph_view(ds):
+    return [(g.node_count, g.edges, g.label, g.node_tags) for g in ds.graphs]
+
+
+TWO_EDGES = [(2, [(0, 1, 1.0), (1, 0, 1.0)], 0, None),
+             (2, [(0, 1, 1.0), (1, 0, 1.0)], 1, None)]
+
+
+@pytest.mark.parametrize("a", [
+    "1, 2\n\n3, 4\n",  # empty line
+    "1, 2\n   \n3, 4\n",  # whitespace-only line
+    "1, 2\n3, 4",  # no trailing newline
+    "1,2\n3,4\n",  # no space after the comma
+    "1, 2\r\n3, 4\r\n",  # CRLF
+    " 1 ,\t2\n3, 4\n\n\n",  # padding and trailing blank lines
+], ids=["blank", "spaces", "no-newline", "no-space", "crlf", "padding"])
+def test_loader_irregular_layout_same_dataset(tmp_path, a):
+    d, _ = write_raw(tmp_path, a, indicator="1\n1\n\n2\r\n2", labels="0\n \n1")
+    assert graph_view(load_tu_dataset(d, "RAW")) == TWO_EDGES
+
+
+def test_loader_stray_comment_names_its_line(tmp_path):
+    d, path = write_raw(tmp_path, "1, 2\n\n# comment\n3, 4\n")
+    with pytest.raises(DatasetError) as err:
+        load_tu_dataset(d, "RAW")
+    assert str(err.value) == f"{path}:3: expected 'i, j', got '# comment'"
+    d, path = write_raw(tmp_path / "b", "1, 2\n#3, 4\n")
+    with pytest.raises(DatasetError) as err:
+        load_tu_dataset(d, "RAW")
+    assert str(err.value) == f"{path}:2: expected an integer node id, got '#3'"
+
+
+def test_loader_range_and_crossing_errors_name_their_line(tmp_path):
+    d, path = write_raw(tmp_path, "1, 2\n\n3, 5\n")
+    with pytest.raises(DatasetError) as err:
+        load_tu_dataset(d, "RAW")
+    assert str(err.value) == f"{path}:3: node id out of range 1..4"
+    d, path = write_raw(tmp_path / "b", "1, 2\n2, 3\n")
+    with pytest.raises(DatasetError) as err:
+        load_tu_dataset(d, "RAW")
+    assert str(err.value) == f"{path}:2: edge joins graphs 1 and 2"
+
+
+def test_loader_interleaved_indicator(tmp_path):
+    # graph 1 holds global nodes 1 and 3, graph 2 holds 2, 4 and 5
+    d, _ = write_raw(tmp_path, "1, 3\n2, 5\n4, 2\n", indicator="1\n2\n1\n2\n2\n",
+                     node_labels="10\n20\n30\n40\n50\n")
+    ds = load_tu_dataset(d, "RAW")
+    assert graph_view(ds) == [
+        (2, [(0, 1, 1.0), (1, 0, 1.0)], 0, [0, 2]),
+        (3, [(0, 1, 1.0), (0, 2, 1.0), (1, 0, 1.0), (2, 0, 1.0)], 1, [1, 3, 4]),
+    ]
+
+
+def test_duplicate_edges_warn_once_per_duplicate_line(tmp_path):
+    d, path = write_raw(tmp_path, "1, 2\n2, 1\n1, 2\n\n3, 4\n1,2\n3, 4\n")
+    with pytest.warns(UserWarning) as record:
+        ds = load_tu_dataset(d, "RAW")
+    messages = [str(w.message) for w in record if "duplicate edge" in str(w.message)]
+    assert messages == [f"{path}:3: duplicate edge (1, 2)",
+                        f"{path}:6: duplicate edge (1, 2)",
+                        f"{path}:7: duplicate edge (3, 4)"]
+    assert graph_view(ds) == TWO_EDGES
+
+
+def test_weight_matrix_and_helpers_from_csr():
+    g = GraphInstance(node_count=3, edges=[(0, 0, 1.0), (0, 2, 2.5), (2, 0, 2.5)])
+    assert g.indptr.tolist() == [0, 2, 2, 3]
+    assert g.indices.tolist() == [0, 2, 0]
+    assert np.array_equal(weight_matrix(g), [[1.0, 0.0, 2.5], [0.0, 0.0, 0.0],
+                                             [2.5, 0.0, 0.0]])
+    assert g.neighbor_sets() == [{0, 2}, set(), {0}]
+    assert g.undirected_edge_count == 2
+    back = GraphInstance(node_count=3, indptr=g.indptr, indices=g.indices,
+                         weights=g.weights)
+    assert back.edges == [(0, 0, 1.0), (0, 2, 2.5), (2, 0, 2.5)]

@@ -14,7 +14,8 @@ from segbert.features import (
     sinusoid_rows,
 )
 
-from conftest import attach_attrs, attach_tags, cycle_graph, path_graph, random_graph, synth_dataset
+from conftest import (attach_attrs, attach_tags, cycle_graph, path_graph, random_graph,
+                      star_graph, synth_dataset)
 from wl_oracle import brute_force_wl, partition_of
 
 
@@ -141,6 +142,37 @@ def test_wl_matches_brute_force_oracle_on_random_graphs():
     assert sorted(map(sorted, by_code.values())) == sorted(map(sorted, by_tree.values()))
 
 
+def _first_appearance(rows):
+    """Dense 0..C-1 numbering of hashable colors in order of first use."""
+    dense: dict = {}
+    return [[dense.setdefault(c, len(dense)) for c in row] for row in rows]
+
+
+def _mixed_wl_set():
+    rng = np.random.default_rng(67)
+    graphs = [random_graph(rng, lo=3, hi=9) for _ in range(12)]
+    graphs += [attach_tags(random_graph(rng, lo=3, hi=9)) for _ in range(6)]
+    # regular graphs stop after one round, paths and stars refine longer
+    graphs += [cycle_graph(6), path_graph(7), star_graph(5), attach_tags(cycle_graph(4))]
+    graphs.append(GraphInstance(node_count=3, edges=[
+        (0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)]))  # self-loop
+    graphs.append(GraphInstance(node_count=5, edges=[(0, 1, 1.0), (1, 0, 1.0)]))  # isolated
+    graphs.append(GraphInstance(node_count=3, edges=[]))  # edgeless
+    graphs.append(attach_tags(GraphInstance(node_count=2, edges=[])))
+    return graphs
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 2, 3])
+def test_wl_codes_equal_oracle_numbering(iterations):
+    """Exact codes, not just partitions: the oracle's tree colors numbered
+    by first appearance, on graphs that stop refining at different rounds."""
+    graphs = _mixed_wl_set()
+    want = _first_appearance(brute_force_wl(graphs, iterations))
+    assert dataset_wl_codes(graphs, iterations) == want
+    for g, row in zip(graphs, want):
+        assert compute_wl_codes(g, iterations) == _first_appearance([row])[0]
+
+
 # ----------------------------------------------------------------------
 # sinusoid embedding
 
@@ -202,30 +234,27 @@ def test_sinusoid_rows_matches_scalar():
 
 def test_bundle_two_node_path():
     g = path_graph(2)
-    bundles = build_bundles(g, n_adj=4)
-    b0 = bundles[0]
-    assert b0.degree == 1
-    assert np.array_equal(b0.adjacency_row, [0.0, 1.0, 0.0, 0.0])
-    assert b0.raw_attr.shape == (0,)
-    assert b0.tag is None
-    assert np.array_equal(bundles[1].adjacency_row, [1.0, 0.0, 0.0, 0.0])
+    features = build_bundles(g, n_adj=4)
+    assert features.degrees[0] == 1
+    assert np.array_equal(features.adjacency[0], [0.0, 1.0, 0.0, 0.0])
+    assert features.attributes is None
+    assert features.tags is None
+    assert np.array_equal(features.adjacency[1], [1.0, 0.0, 0.0, 0.0])
 
 
 def test_bundle_adjacency_truncation():
     g = cycle_graph(6)
-    bundles = build_bundles(g, n_adj=3)
+    features = build_bundles(g, n_adj=3)
     # node 5 connects to 4 and 0; only column 0 survives truncation
-    assert np.array_equal(bundles[5].adjacency_row, [1.0, 0.0, 0.0])
-    for b in bundles:
-        assert b.adjacency_row.shape == (3,)
+    assert np.array_equal(features.adjacency[5], [1.0, 0.0, 0.0])
+    assert features.adjacency.shape == (6, 3)
 
 
 def test_bundle_carries_tags_and_attrs():
     g = attach_attrs(attach_tags(cycle_graph(5)))
-    bundles = build_bundles(g, n_adj=5)
-    for i, b in enumerate(bundles):
-        assert b.tag == i % 3
-        assert np.array_equal(b.raw_attr, g.node_attributes[i])
+    features = build_bundles(g, n_adj=5)
+    assert features.tags.tolist() == [i % 3 for i in range(5)]
+    assert np.array_equal(features.attributes, g.node_attributes)
 
 
 def test_bundle_wl_codes_length_validated():
@@ -237,5 +266,5 @@ def test_dataset_bundles_share_wl_dictionary():
     ds = synth_dataset(count=6, seed=8, with_tags=False)
     per_graph = dataset_bundles(ds, n_adj=ds.max_nodes)
     expected = dataset_wl_codes(ds.graphs, 2)
-    for bundles, codes in zip(per_graph, expected):
-        assert [b.wl_code for b in bundles] == codes
+    for features, codes in zip(per_graph, expected):
+        assert features.wl_codes.tolist() == codes

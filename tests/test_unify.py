@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segbert.dataset import GraphDataset, GraphInstance
-from segbert.features import build_bundles
+from segbert.features import build_bundles, sinusoid_rows
+from segbert.model import ModelConfig, prepare_graph
 from segbert.unify import (
     Segment,
     Strategy,
@@ -136,25 +137,26 @@ def test_segment_shifting_exact_multiple_has_no_dummies():
     assert all(s.real_mask.all() for s in segs)
 
 
-def test_unify_attaches_bundles_and_zero_dummies():
+def test_dummy_slots_get_zero_features():
     g = cycle_graph(3)
     g.node_tags = [0, 1, 2]
-    bundles = build_bundles(g, n_adj=5)
-    segs = unify(g, UnifyPlan(Strategy.FULL_INPUT, 5), bundles=bundles)
-    s = segs[0]
-    assert s.bundles[0] is bundles[0]
-    dummy = s.bundles[3]
-    assert dummy.degree == 0 and dummy.wl_code == 0 and dummy.tag is None
-    assert np.array_equal(dummy.adjacency_row, np.zeros(5))
-    assert dummy.raw_attr.shape == (0,)
+    features = build_bundles(g, n_adj=5)
+    cfg = ModelConfig(hidden_dim=4, head_count=2, intermediate_dim=4,
+                      use_tags=True, n_adj=5, segment_k=5)
+    gi = prepare_graph(g, features, UnifyPlan(Strategy.FULL_INPUT, 5), cfg)
+    assert np.array_equal(gi.adj_rows[:3], features.adjacency)
+    # dummies: degree 0, WL code 0, no tag, zero adjacency, no attributes
+    zero = sinusoid_rows([0.0], 4)[0]
+    assert np.array_equal(gi.const_rows[3:], np.tile(zero + zero, (2, 1)))
+    assert np.array_equal(gi.adj_rows[3:], np.zeros((2, 5)))
+    assert gi.attr_rows is None
+    assert gi.real_slots.tolist() == [0, 1, 2]
 
 
-def test_unify_validates_order_and_bundles():
+def test_unify_validates_order():
     g = cycle_graph(4)
     with pytest.raises(ValueError, match="permutation"):
         unify(g, UnifyPlan(Strategy.FULL_INPUT, 4), order=[0, 1, 1, 2])
-    with pytest.raises(ValueError, match="bundles"):
-        unify(g, UnifyPlan(Strategy.FULL_INPUT, 4), bundles=[])
 
 
 # ----------------------------------------------------------------------
