@@ -7,20 +7,30 @@ how to push the output gradient back onto the inputs. Program order is
 a valid topological order, so ``backward`` just walks the entries once
 in reverse.
 
-The op set is exactly what a segmented graph transformer needs: matrix
-products (including block-diagonal ones for per-segment attention),
-broadcasting add/multiply, row-wise softmax and layer norm, GELU and
-ReLU, inverted dropout, row gathering and concatenation, row means,
-row-pair cosine similarity, and the two loss reductions (mean squared
-error, softmax cross-entropy). Adam with decoupled weight decay lives
-here too since it updates the same tensors.
+The op set is exactly what a segmented graph transformer needs. The
+model records three fused ops: ``linear`` (matrix product plus a bias
+row), ``affine_layer_norm`` (row normalization, gain and bias) and
+``multi_head_attention`` (per-segment scaled dot-product attention of
+all heads, with the softmax and attention dropout inside). Alongside
+them sit the primitives: matrix products (including block-diagonal
+ones for per-segment attention), broadcasting add/multiply, scaling,
+row-wise softmax and layer norm, GELU and ReLU, inverted dropout, row
+gathering, column slicing and concatenation, row means, row-pair
+cosine similarity, and the two loss reductions (mean squared error,
+softmax cross-entropy). Adam with decoupled weight decay lives here
+too since it updates the same tensors.
+
+Each op, fused or not, checks its output for NaN and Inf and raises
+``NonFiniteError`` naming itself.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,6 +49,7 @@ __all__ = [
 _LAYER_NORM_EPS = 1e-12
 _COSINE_NORM_FLOOR = 1e-8
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_SQRT_2 = np.sqrt(2.0)
 
 
 class ShapeError(ValueError):
@@ -81,17 +92,24 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, shared: bool = False) -> None:
+        """Add ``g`` to the gradient; the first ``g`` becomes the buffer.
+
+        Pass ``shared=True`` when ``g`` is still held elsewhere (an
+        upstream gradient passed through unchanged, or a view of one):
+        it is then copied, so a later ``+=`` never writes into it.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            self.grad = g.copy() if shared else g
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:  # pragma: no cover
         tag = self.name or "tensor"
         return f"Tensor({tag}, shape={self.value.shape}, requires_grad={self.requires_grad})"
 
 
-@dataclass
+@dataclass(slots=True)
 class TapeEntry:
     op: str
     inputs: tuple[Tensor, ...]
@@ -100,8 +118,32 @@ class TapeEntry:
 
 
 def _check_finite(op: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+    # A NaN or Inf entry makes the sum of squares NaN or Inf, so a finite
+    # sum clears the array in one BLAS call; only an infinite sum (Inf
+    # entries, or finite ones whose squares overflow) needs the exact test.
+    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
         raise NonFiniteError(f"op {op!r} produced a non-finite value")
+
+
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    # np.mean's arithmetic (sum, then divide) without its Python wrapper
+    return np.add.reduce(x, axis=1, keepdims=True) / x.shape[1]
+
+
+def _normalize_rows(x: np.ndarray) -> tuple:
+    """(rows scaled to zero mean and unit variance, 1/std per row).
+
+    The variance is computed as np.var computes it, from the centred
+    rows, which are then reused for the output.
+    """
+    centered = x - _row_mean(x)
+    inv = 1.0 / np.sqrt(_row_mean(centered * centered) + _LAYER_NORM_EPS)
+    return centered * inv, inv
+
+
+def _normalize_rows_grad(g: np.ndarray, y: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Input gradient of ``_normalize_rows`` from output gradient g."""
+    return inv * (g - _row_mean(g) - y * _row_mean(g * y))
 
 
 class Tape:
@@ -115,9 +157,14 @@ class Tape:
     def __init__(self, seed: int | None = None):
         self.entries: list[TapeEntry] = []
         self.recording = True
-        self.rng = np.random.default_rng(seed)
+        self._seed = seed
         self._backward_done = False
         self._ref = weakref.ref(self)
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        """The dropout RNG, built on first use: eval-only tapes skip it."""
+        return np.random.default_rng(self._seed)
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -174,6 +221,31 @@ class Tape:
 
         return self._record("matmul", (a, b), value, make)
 
+    def linear(self, x, w, b) -> Tensor:
+        """x @ w plus the 1 x out bias row b: a dense layer as one op."""
+        x, w, b = self._coerce(x), self._coerce(w), self._coerce(b)
+        if x.value.shape[1] != w.value.shape[0]:
+            raise ShapeError(
+                f"linear: inner dimensions differ: {x.value.shape} vs {w.value.shape}")
+        if b.value.shape != (1, w.value.shape[1]):
+            raise ShapeError(
+                f"linear: bias shape {b.value.shape} does not match weight {w.value.shape}")
+        value = x.value @ w.value
+        value += b.value
+
+        def make(out: Tensor):
+            def backward():
+                g = out.grad
+                if x.requires_grad:
+                    x._accumulate(g @ w.value.T)
+                if w.requires_grad:
+                    w._accumulate(x.value.T @ g)
+                if b.requires_grad:
+                    b._accumulate(g.sum(axis=0, keepdims=True))
+            return backward
+
+        return self._record("linear", (x, w, b), value, make)
+
     def _broadcast_binary(self, op: str, a, b, fn, da_fn, db_fn) -> Tensor:
         a, b = self._coerce(a), self._coerce(b)
         sa, sb = a.value.shape, b.value.shape
@@ -195,9 +267,11 @@ class Tape:
             def backward():
                 g = out.grad
                 if a.requires_grad:
-                    a._accumulate(da_fn(g, a.value, b.value))
+                    da = da_fn(g, a.value, b.value)
+                    a._accumulate(da, shared=da is g)
                 if b.requires_grad:
-                    b._accumulate(reduce_to(b.value.shape, db_fn(g, a.value, b.value)))
+                    db = reduce_to(b.value.shape, db_fn(g, a.value, b.value))
+                    b._accumulate(db, shared=db is g)
             return backward
 
         return self._record(op, (a, b), value, make)
@@ -238,7 +312,7 @@ class Tape:
                 g = out.grad
                 for t in ts:
                     if t.requires_grad:
-                        t._accumulate(g)
+                        t._accumulate(g, shared=True)
             return backward
 
         return self._record("add_n", ts, value, make)
@@ -277,7 +351,7 @@ class Tape:
         """Exact GELU, x * Phi(x) with the Gaussian CDF."""
         a = self._coerce(a)
         x = a.value
-        cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+        cdf = 0.5 * (1.0 + erf(x / _SQRT_2))
         value = x * cdf
 
         def make(out: Tensor):
@@ -313,23 +387,40 @@ class Tape:
         gain and bias rows on top. Epsilon 1e-12 sits on the variance.
         """
         a = self._coerce(a)
-        x = a.value
-        mean = x.mean(axis=1, keepdims=True)
-        var = x.var(axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
-        value = (x - mean) * inv
+        value, inv = _normalize_rows(a.value)
 
         def make(out: Tensor):
             def backward():
                 if a.requires_grad:
-                    y = out.value
-                    g = out.grad
-                    gm = g.mean(axis=1, keepdims=True)
-                    gym = (g * y).mean(axis=1, keepdims=True)
-                    a._accumulate(inv * (g - gm - y * gym))
+                    a._accumulate(_normalize_rows_grad(out.grad, out.value, inv))
             return backward
 
         return self._record("layer_norm_rows", (a,), value, make)
+
+    def affine_layer_norm(self, x, gain, bias) -> Tensor:
+        """``layer_norm_rows(x) * gain + bias`` with 1 x d gain and bias rows."""
+        x, gain, bias = self._coerce(x), self._coerce(gain), self._coerce(bias)
+        row = (1, x.value.shape[1])
+        if gain.value.shape != row or bias.value.shape != row:
+            raise ShapeError(
+                f"affine_layer_norm: gain {gain.value.shape} and bias "
+                f"{bias.value.shape} must both be {row} for input {x.value.shape}")
+        y, inv = _normalize_rows(x.value)
+        value = y * gain.value
+        value += bias.value
+
+        def make(out: Tensor):
+            def backward():
+                g = out.grad
+                if bias.requires_grad:
+                    bias._accumulate(g.sum(axis=0, keepdims=True))
+                if gain.requires_grad:
+                    gain._accumulate((g * y).sum(axis=0, keepdims=True))
+                if x.requires_grad:
+                    x._accumulate(_normalize_rows_grad(g * gain.value, y, inv))
+            return backward
+
+        return self._record("affine_layer_norm", (x, gain, bias), value, make)
 
     def dropout(self, a, rate: float, training: bool) -> Tensor:
         """Inverted dropout: kept entries are scaled by 1/(1-rate).
@@ -346,7 +437,7 @@ class Tape:
             def make_eval(out: Tensor):
                 def backward():
                     if a.requires_grad:
-                        a._accumulate(out.grad)
+                        a._accumulate(out.grad, shared=True)
                 return backward
 
             return self._record("dropout", (a,), value, make_eval)
@@ -403,7 +494,7 @@ class Tape:
                 pieces = np.split(out.grad, splits, axis=0)
                 for t, g in zip(ts, pieces):
                     if t.requires_grad:
-                        t._accumulate(g)
+                        t._accumulate(g, shared=True)
             return backward
 
         return self._record("concat_rows", ts, value, make)
@@ -425,7 +516,7 @@ class Tape:
                 pieces = np.split(out.grad, splits, axis=1)
                 for t, g in zip(ts, pieces):
                     if t.requires_grad:
-                        t._accumulate(g)
+                        t._accumulate(g, shared=True)
             return backward
 
         return self._record("concat_cols", ts, value, make)
@@ -531,6 +622,81 @@ class Tape:
             return backward
 
         return self._record("attention_apply", (p, v), value, make)
+
+    def multi_head_attention(self, q, k, v, heads: int, block: int,
+                             rate: float, training: bool) -> Tensor:
+        """Scaled dot-product attention per segment, all heads in one op.
+
+        q, k and v are (s*block) x d stacks of s segments; their columns
+        split into ``heads`` heads of d_head = d/heads columns. For each
+        segment and head this computes softmax(Q K^T / sqrt(d_head)),
+        applies inverted attention dropout (training only) and mixes
+        the value rows. Head outputs come back side by side, so the
+        result is (s*block) x d. The dropout masks are one
+        (heads, s*block, block) draw from the tape RNG: the same stream
+        as one draw per head in head order.
+        """
+        q, k, v = self._coerce(q), self._coerce(k), self._coerce(v)
+        if q.value.shape != k.value.shape or q.value.shape != v.value.shape:
+            raise ShapeError(
+                f"multi_head_attention: shapes differ: q {q.value.shape}, "
+                f"k {k.value.shape}, v {v.value.shape}")
+        s = self._block_view(q, block, "multi_head_attention")
+        d = q.value.shape[1]
+        if heads <= 0 or d % heads != 0:
+            raise ShapeError(
+                f"multi_head_attention: {heads} heads do not divide width {d}")
+        if not 0.0 <= rate < 1.0:
+            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+        d_head = d // heads
+        c = 1.0 / np.sqrt(d_head)
+
+        def split(x):  # (s*block, d) -> (s, heads, block, d_head)
+            # contiguous, so each per-head product sees the strides the
+            # per-head column slices had and BLAS rounds the same way
+            return np.ascontiguousarray(
+                x.reshape(s, block, heads, d_head).transpose(0, 2, 1, 3))
+
+        def merge(x):  # (s, heads, block, d_head) -> (s*block, d)
+            return x.transpose(0, 2, 1, 3).reshape(s * block, d)
+
+        def swap(x):  # transpose each (row, column) block
+            return x.transpose(0, 1, 3, 2)
+
+        q4, k4, v4 = split(q.value), split(k.value), split(v.value)
+        probs = np.matmul(q4, swap(k4))
+        probs *= c
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        mask = None
+        mixed = probs
+        if training and rate > 0.0:
+            draw = self.rng.random((heads, s * block, block))
+            mask = ((draw >= rate) / (1.0 - rate)).reshape(
+                heads, s, block, block).transpose(1, 0, 2, 3)
+            mixed = probs * mask
+        value = merge(np.matmul(mixed, v4))
+
+        def make(out: Tensor):
+            def backward():
+                g4 = split(out.grad)
+                if v.requires_grad:
+                    v._accumulate(merge(np.matmul(swap(mixed), g4)))
+                if not (q.requires_grad or k.requires_grad):
+                    return
+                dp = np.matmul(g4, swap(v4))
+                if mask is not None:
+                    dp *= mask
+                ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
+                ds *= c
+                if q.requires_grad:
+                    q._accumulate(merge(np.matmul(ds, k4)))
+                if k.requires_grad:
+                    k._accumulate(merge(np.matmul(swap(ds), q4)))
+            return backward
+
+        return self._record("multi_head_attention", (q, k, v), value, make)
 
     # ------------------------------------------------------------------
     # similarity and losses

@@ -137,6 +137,9 @@ def _read_lines(path: str) -> list[str]:
         return fh.read().splitlines()
 
 
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
 def _parse_int(text: str, path: str, lineno: int, what: str) -> int:
     try:
         return int(text.strip())
@@ -178,7 +181,11 @@ def _int_column(path: str, what: str, count: int | None = None,
         return table[:, 0]
     if count is not None:
         lines = [(i, ln) for i, (_, ln) in enumerate(lines, start=1)]
-    return np.array([_parse_int(ln, path, i, what) for i, ln in lines], dtype=np.int64)
+    values = [_parse_int(ln, path, i, what) for i, ln in lines]
+    for (i, _), value in zip(lines, values):
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise DatasetError(f"{path}:{i}: {what} {value} does not fit in 64 bits")
+    return np.array(values, dtype=np.int64)
 
 
 def _scan_arcs(path: str, graph_of: list) -> np.ndarray:
@@ -221,13 +228,18 @@ def load_tu_dataset(directory: str, name: str) -> GraphDataset:
     indicator_path = prefix + "_graph_indicator.txt"
     edges_path = prefix + "_A.txt"
 
-    node_graph = _int_column(indicator_path, "graph id") - 1
+    node_graph = _int_column(indicator_path, "graph id")
     n_nodes = len(node_graph)
     if n_nodes == 0:
         raise DatasetError(f"{indicator_path}: no nodes listed")
-    graph_count = int(node_graph.max()) + 1
-    if node_graph.min() < 0:
+    if node_graph.min() < 1:
         raise DatasetError(f"{indicator_path}: graph ids are 1-based")
+    node_graph -= 1
+    graph_count = int(node_graph.max()) + 1
+    if graph_count > n_nodes:  # checked before bincount sizes an array by it
+        raise DatasetError(
+            f"{indicator_path}: graph id {graph_count} but only {n_nodes} nodes "
+            f"(ids must cover 1..{graph_count})")
     counts = np.bincount(node_graph, minlength=graph_count)
     if not counts.all():
         raise DatasetError(

@@ -6,7 +6,9 @@ function of the parameters). The loss sums the classification
 cross-entropy with both pre-training losses so every parameter group,
 heads included, receives gradient. Each parameter entry is then
 perturbed by a central step and compared against the tape's analytic
-gradient.
+gradient. ``finite_difference_check`` is that comparison for any loss
+built on a tape, so tests can run it on batched, segmented and
+pre-training losses too.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .model import (
 )
 from .unify import Strategy, UnifyPlan
 
-__all__ = ["GradCheckReport", "model_gradcheck", "relative_error", "toy_graph"]
+__all__ = ["GradCheckReport", "finite_difference_check", "model_gradcheck",
+           "relative_error", "toy_graph"]
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-3
@@ -109,21 +112,32 @@ def model_gradcheck(residual_mode: str = "none", hidden_dim: int = 32,
         h = encode(tape, params, cfg, batch, training=False)
         h_final = tape.take_rows(h, batch.real_slot_lists[0])
         z = tape.mean_rows(h_final)
-        logits = tape.add(tape.matmul(z, params["classifier.weight"]),
-                          params["classifier.bias"])
+        logits = tape.linear(z, params["classifier.weight"], params["classifier.bias"])
         ce = tape.cross_entropy(logits, onehot)
         recon = tape.mse(reconstruct_attributes(tape, params, h_final), raw_target)
         struct = tape.mse(recover_structure(tape, h_final), target_w)
         return tape.add_n([ce, recon, struct])
 
-    tape = Tape()
-    loss = run_loss(tape)
-    tape.backward(loss)
+    return finite_difference_check(params, run_loss, step, tolerance)
+
+
+def finite_difference_check(params: ModelParams, run_loss, step: float = DEFAULT_STEP,
+                            tolerance: float = DEFAULT_TOLERANCE) -> GradCheckReport:
+    """Compare the tape gradient of ``run_loss(tape)``, a 1 x 1 loss
+    tensor, with central differences, entry by entry for every parameter.
+
+    Each evaluation runs on a fresh tape with the same seed, so training
+    mode draws the same dropout masks every time and the loss stays a
+    deterministic function of the parameters.
+    """
+    params.zero_grads()
+    tape = Tape(seed=0)
+    tape.backward(run_loss(tape))
     analytic = {name: t.grad.copy() if t.grad is not None else np.zeros_like(t.value)
                 for name, t in params.items()}
 
     def loss_value() -> float:
-        return float(run_loss(Tape()).value[0, 0])
+        return float(run_loss(Tape(seed=0)).value[0, 0])
 
     errors = {}
     for name, t in params.items():

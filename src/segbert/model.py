@@ -12,9 +12,13 @@ pre-training: a linear reconstruction of the raw rows and a row-pair
 cosine recovery of the connection-weight matrix.
 
 Attention is executed in blocked form: all segments of a minibatch are
-stacked into one (segments * k) x d_h matrix and the per-segment
-products run as block-diagonal ops, so the tape length per batch does
-not grow with the batch size.
+stacked into one (segments * k) x d_h matrix, and one fused
+``multi_head_attention`` tape op runs the per-segment, per-head scores,
+softmax, dropout and value mixing in a (segments, heads, k, d_head)
+layout. Projections are fused ``linear`` ops and norms are
+``affine_layer_norm`` ops, so a layer records 13 ops (14 with the raw
+residual) and the tape length per batch does not grow with the batch
+size.
 """
 
 from __future__ import annotations
@@ -339,58 +343,36 @@ def build_batch(graph_inputs: list, class_count: int) -> BatchData:
 def initial_embedding(tape: Tape, params: ModelParams, config: ModelConfig,
                       batch: BatchData) -> Tensor:
     """Sum of the four per-slot channels as one (rows, d_h) tensor."""
-    a_in = tape.constant(batch.adj)
-    hidden = tape.gelu(tape.add(tape.matmul(a_in, params["adj_embed.fc1.weight"]),
-                                params["adj_embed.fc1.bias"]))
-    e_w = tape.add(tape.matmul(hidden, params["adj_embed.fc2.weight"]),
-                   params["adj_embed.fc2.bias"])
-    channels = [tape.constant(batch.const), e_w]
+    hidden = tape.gelu(_linear(tape, params, "adj_embed.fc1", tape.constant(batch.adj)))
+    channels = [tape.constant(batch.const), _linear(tape, params, "adj_embed.fc2", hidden)]
     if config.attr_dim > 0:
-        e_x = tape.add(tape.matmul(tape.constant(batch.attr), params["attr_embed.weight"]),
-                       params["attr_embed.bias"])
-        channels.append(e_x)
+        channels.append(_linear(tape, params, "attr_embed", tape.constant(batch.attr)))
     return tape.add_n(channels)
 
 
+def _linear(tape: Tape, params: ModelParams, name: str, x) -> Tensor:
+    return tape.linear(x, params[f"{name}.weight"], params[f"{name}.bias"])
+
+
 def _affine_norm(tape: Tape, params: ModelParams, name: str, x: Tensor) -> Tensor:
-    normed = tape.layer_norm_rows(x)
-    return tape.add(tape.mul(normed, params[f"{name}.gain"]), params[f"{name}.bias"])
+    return tape.affine_layer_norm(x, params[f"{name}.gain"], params[f"{name}.bias"])
 
 
 def transformer_layer(tape: Tape, params: ModelParams, config: ModelConfig,
                       h: Tensor, layer: int, training: bool,
                       res_term: Tensor | None = None) -> Tensor:
     """One post-norm layer over stacked segments of k slots."""
-    k = config.segment_k
-    d_head = config.hidden_dim // config.head_count
     prefix = f"layers.{layer}"
-
-    def proj(kind):
-        return tape.add(tape.matmul(h, params[f"{prefix}.attn.{kind}.weight"]),
-                        params[f"{prefix}.attn.{kind}.bias"])
-
-    q, key, v = proj("query"), proj("key"), proj("value")
-    heads = []
-    for hd in range(config.head_count):
-        lo, hi = hd * d_head, (hd + 1) * d_head
-        qh = tape.slice_cols(q, lo, hi)
-        kh = tape.slice_cols(key, lo, hi)
-        vh = tape.slice_cols(v, lo, hi)
-        scores = tape.scale(tape.attention_scores(qh, kh, k), 1.0 / np.sqrt(d_head))
-        probs = tape.softmax_rows(scores)
-        probs = tape.dropout(probs, config.dropout_attention, training)
-        heads.append(tape.attention_apply(probs, vh, k))
-    ctx = heads[0] if len(heads) == 1 else tape.concat_cols(heads)
-    attn_out = tape.add(tape.matmul(ctx, params[f"{prefix}.attn.out.weight"]),
-                        params[f"{prefix}.attn.out.bias"])
+    q, key, v = (_linear(tape, params, f"{prefix}.attn.{kind}", h)
+                 for kind in ("query", "key", "value"))
+    ctx = tape.multi_head_attention(q, key, v, config.head_count, config.segment_k,
+                                    config.dropout_attention, training)
+    attn_out = _linear(tape, params, f"{prefix}.attn.out", ctx)
     h1 = _affine_norm(tape, params, f"{prefix}.norm1", tape.add(h, attn_out))
 
-    ff = tape.add(tape.matmul(h1, params[f"{prefix}.ffn.fc1.weight"]),
-                  params[f"{prefix}.ffn.fc1.bias"])
-    ff = tape.gelu(ff)
-    ff = tape.add(tape.matmul(ff, params[f"{prefix}.ffn.fc2.weight"]),
-                  params[f"{prefix}.ffn.fc2.bias"])
-    ff = tape.dropout(ff, config.dropout_hidden, training)
+    ff = tape.gelu(_linear(tape, params, f"{prefix}.ffn.fc1", h1))
+    ff = tape.dropout(_linear(tape, params, f"{prefix}.ffn.fc2", ff),
+                      config.dropout_hidden, training)
     h2 = _affine_norm(tape, params, f"{prefix}.norm2", tape.add(h1, ff))
 
     if res_term is not None:
@@ -404,8 +386,7 @@ def encode(tape: Tape, params: ModelParams, config: ModelConfig,
     h = initial_embedding(tape, params, config, batch)
     res_term = None
     if config.residual_mode == "raw":
-        res_term = tape.add(tape.matmul(tape.constant(batch.raw), params["residual.weight"]),
-                            params["residual.bias"])
+        res_term = _linear(tape, params, "residual", tape.constant(batch.raw))
     for l in range(config.layer_count):
         h = transformer_layer(tape, params, config, h, l, training, res_term)
     return h
@@ -430,8 +411,7 @@ def forward_graph(params: ModelParams, config: ModelConfig, gi: GraphInputs,
     h = encode(tape, params, config, batch, training)
     h_final = tape.take_rows(h, batch.real_slot_lists[0])
     z = tape.mean_rows(h_final)
-    logits = tape.add(tape.matmul(z, params["classifier.weight"]),
-                      params["classifier.bias"])
+    logits = _linear(tape, params, "classifier", z)
     y_hat = tape.softmax_rows(logits)
     return GraphOutput(h_final=h_final, z=z, y_hat=y_hat)
 
@@ -441,16 +421,14 @@ def classify_batch(tape: Tape, params: ModelParams, config: ModelConfig,
     """Summed cross-entropy over the batch; returns (loss, logits)."""
     h = encode(tape, params, config, batch, training)
     z = tape.matmul(tape.constant(batch.avg_matrix), h)
-    logits = tape.add(tape.matmul(z, params["classifier.weight"]),
-                      params["classifier.bias"])
+    logits = _linear(tape, params, "classifier", z)
     loss = tape.cross_entropy(logits, batch.labels_onehot)
     return loss, logits
 
 
 def reconstruct_attributes(tape: Tape, params: ModelParams, h_final: Tensor) -> Tensor:
     """Linear head mapping node representations back to raw rows."""
-    return tape.add(tape.matmul(h_final, params["reconstruct.weight"]),
-                    params["reconstruct.bias"])
+    return _linear(tape, params, "reconstruct", h_final)
 
 
 def recover_structure(tape: Tape, h_final: Tensor) -> Tensor:

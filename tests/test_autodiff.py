@@ -154,6 +154,26 @@ def test_attention_blocks_match_per_segment_loop():
         assert np.allclose(mixed.value[rows], p @ v[rows], atol=1e-12)
 
 
+def test_multi_head_attention_matches_per_head_loop():
+    rng = np.random.default_rng(29)
+    block, segs, heads, d_head = 3, 4, 2, 2
+    q, k, v = (rng.standard_normal((segs * block, heads * d_head)) for _ in range(3))
+    out = Tape().multi_head_attention(Tensor(q), Tensor(k), Tensor(v), heads, block,
+                                      0.5, False)
+    for s in range(segs):
+        rows = slice(s * block, (s + 1) * block)
+        for h in range(heads):
+            cols = slice(h * d_head, (h + 1) * d_head)
+            scores = q[rows, cols] @ k[rows, cols].T / np.sqrt(d_head)
+            p = np.exp(scores - scores.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            assert np.allclose(out.value[rows, cols], p @ v[rows, cols], atol=1e-12)
+    # one slot per segment: each slot attends only to itself
+    single = Tape().multi_head_attention(Tensor(q), Tensor(k), Tensor(v), heads, 1,
+                                         0.0, True)
+    assert np.array_equal(single.value, v)
+
+
 def test_dropout_train_scales_and_eval_identity():
     x = np.full((40, 25), 2.0)
     tape = Tape(seed=5)
@@ -232,6 +252,10 @@ def test_finite_differences_every_primitive():
     onehot[np.arange(6), rng.integers(0, 4, 6)] = 1.0
     idx = np.array([5, 0, 3, 3, 1])
     proj5x4 = rng.standard_normal((5, 4))
+    inputs3x6 = rng.standard_normal((3, 6))
+    proj3x4 = rng.standard_normal((3, 4))
+    gain = rng.standard_normal((1, 4)) + 1.0
+    q6x4, k6x4, v6x4 = (rng.standard_normal((6, 4)) for _ in range(3))
 
     cases = {
         "matmul": lambda t, x: scalarize(t, t.matmul(x, weight), proj6x4),
@@ -256,10 +280,37 @@ def test_finite_differences_every_primitive():
         "cosine": lambda t, x: scalarize(t, t.cosine_rows(x), proj6x6),
         "mse": lambda t, x: t.mse(x, other),
         "cross_entropy": lambda t, x: t.cross_entropy(x, onehot),
+        "linear": lambda t, x: scalarize(
+            t, t.linear(x, Tensor(weight), Tensor(bias)), proj6x4),
+        "linear_weight": lambda t, x: scalarize(
+            t, t.linear(Tensor(inputs3x6), x, Tensor(bias)), proj3x4),
+        "affine_layer_norm": lambda t, x: scalarize(
+            t, t.affine_layer_norm(x, Tensor(gain), Tensor(bias)), proj6x4),
     }
+    # multi-head attention over 3 segments of 2 rows, 1 or 2 heads, with
+    # training dropout: every tape in _fd_check shares one seed, so each
+    # evaluation draws the same masks; x stands in for q, k or v in turn
+    for heads in (1, 2):
+        for role in range(3):
+            def build(t, x, heads=heads, role=role):
+                qkv = [Tensor(m) for m in (q6x4, k6x4, v6x4)]
+                qkv[role] = x
+                return scalarize(
+                    t, t.multi_head_attention(*qkv, heads, 2, 0.3, True), proj6x4)
+            cases[f"multi_head_attention_h{heads}_{'qkv'[role]}"] = build
     x0 = rng.standard_normal((6, 4)) + 0.1  # keep relu inputs off the kink
     for name, build in cases.items():
         _fd_check(build, x0)
+
+    # bias, gain and the eval-mode attention path
+    _fd_check(lambda t, x: scalarize(
+        t, t.linear(Tensor(x0), Tensor(weight), x), proj6x4), bias)
+    _fd_check(lambda t, x: scalarize(
+        t, t.affine_layer_norm(Tensor(x0), x, Tensor(bias)), proj6x4), gain)
+    _fd_check(lambda t, x: scalarize(
+        t, t.affine_layer_norm(Tensor(x0), Tensor(gain), x), proj6x4), bias)
+    _fd_check(lambda t, x: scalarize(
+        t, t.multi_head_attention(x, Tensor(k6x4), x, 2, 2, 0.3, False), proj6x4), q6x4)
 
     # blocked attention ops: 12 rows in blocks of 4
     q0 = rng.standard_normal((12, 3))
@@ -437,6 +488,51 @@ def test_non_finite_result_names_op():
             tape.matmul(Tensor(big), Tensor(big))
 
 
+def test_non_finite_result_names_fused_ops():
+    tape = Tape()
+    big = Tensor(np.full((4, 2), 1e308))
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteError, match="'linear'"):
+            tape.linear(big, Tensor(np.full((2, 2), 1e308)), Tensor(np.zeros((1, 2))))
+        with pytest.raises(NonFiniteError, match="'multi_head_attention'"):
+            tape.multi_head_attention(big, big, big, 2, 2, 0.0, False)
+
+
+def test_large_finite_values_pass_the_finite_check():
+    # squares past the float range must not be taken for Inf
+    big = np.array([[1e300, -1e300], [1e200, 0.0]])
+    out = Tape().scale(Tensor(big), 1.0)
+    assert np.array_equal(out.value, big)
+
+
+def test_multi_head_attention_rejects_bad_shapes():
+    tape = Tape()
+    x = Tensor(np.zeros((6, 4)))
+    with pytest.raises(ShapeError, match="multiple of block 4"):
+        tape.multi_head_attention(x, x, x, 2, 4, 0.0, False)
+    with pytest.raises(ShapeError, match="3 heads"):
+        tape.multi_head_attention(x, x, x, 3, 2, 0.0, False)
+    with pytest.raises(ShapeError, match="shapes differ"):
+        tape.multi_head_attention(x, Tensor(np.zeros((6, 2))), x, 2, 2, 0.0, False)
+    with pytest.raises(ValueError, match="rate"):
+        tape.multi_head_attention(x, x, x, 2, 2, 1.0, True)
+
+
+def test_first_gradient_is_never_shared():
+    """An upstream gradient passed through unchanged is copied before a
+    later += could write into it."""
+    x = Tensor([[1.0, 2.0]], requires_grad=True)
+    y = Tensor([[3.0, 4.0]], requires_grad=True)
+    tape = Tape()
+    s = tape.add(x, y)  # s.grad reaches x and y unchanged
+    loss = tape.mse(tape.add_n([s, x]), np.zeros((1, 2)))
+    tape.backward(loss)
+    g = 2.0 * (2.0 * x.value + y.value) / 2.0
+    assert np.array_equal(y.grad, g)
+    assert np.array_equal(s.grad, g)
+    assert np.array_equal(x.grad, 2.0 * g)
+
+
 def test_dropout_rate_validation():
     tape = Tape()
     with pytest.raises(ValueError, match="rate"):
@@ -477,7 +573,7 @@ def test_tape_freed_by_refcount_after_backward():
         tape = Tape(seed=0)
         loss, _logits = classify_batch(tape, params, cfg, batch, training=True)
         tape.backward(loss)
-        assert len(tape.entries) > 50
+        assert len(tape.entries) > 30
         return weakref.ref(tape)
 
     was_enabled = gc.isenabled()

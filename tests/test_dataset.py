@@ -289,6 +289,38 @@ def test_loader_range_and_crossing_errors_name_their_line(tmp_path):
     assert str(err.value) == f"{path}:2: edge joins graphs 1 and 2"
 
 
+HUGE = "99999999999999999999"  # past int64
+
+
+@pytest.mark.parametrize("suffix, files, message", [
+    ("graph_indicator", dict(indicator=f"1\n1\n{HUGE}\n2\n"), f"3: graph id {HUGE}"),
+    ("graph_labels", dict(labels=f"0\n\n{HUGE}\n"), f"2: graph label {HUGE}"),
+    ("node_labels", dict(node_labels=f"1\n2\n-{HUGE}\n4\n"), f"3: node tag -{HUGE}"),
+], ids=["indicator", "graph-label", "node-label"])
+def test_loader_integer_past_int64_names_its_line(tmp_path, suffix, files, message):
+    d, _ = write_raw(tmp_path, "1, 2\n3, 4\n", **files)
+    with pytest.raises(DatasetError) as err:
+        load_tu_dataset(d, "RAW")
+    assert str(err.value) == f"{d}/RAW_{suffix}.txt:{message} does not fit in 64 bits"
+
+
+def test_loader_arc_id_past_int64_is_out_of_range(tmp_path):
+    d, path = write_raw(tmp_path, f"1, 2\n3, {HUGE}\n")
+    with pytest.raises(DatasetError) as err:
+        load_tu_dataset(d, "RAW")
+    assert str(err.value) == f"{path}:2: node id out of range 1..4"
+
+
+def test_loader_graph_id_beyond_node_count(tmp_path):
+    # a valid int64 id that would size per-graph arrays far past the data
+    d, _ = write_raw(tmp_path, "1, 2\n3, 4\n", indicator="1\n1\n2\n1000000000000000\n")
+    with pytest.raises(DatasetError, match="graph id 1000000000000000 but only 4 nodes"):
+        load_tu_dataset(d, "RAW")
+    d, _ = write_raw(tmp_path / "b", "1, 2\n3, 4\n", indicator="1\n1\n2\n-9223372036854775808\n")
+    with pytest.raises(DatasetError, match="1-based"):
+        load_tu_dataset(d, "RAW")
+
+
 def test_loader_interleaved_indicator(tmp_path):
     # graph 1 holds global nodes 1 and 3, graph 2 holds 2, 4 and 5
     d, _ = write_raw(tmp_path, "1, 3\n2, 5\n4, 2\n", indicator="1\n2\n1\n2\n2\n",

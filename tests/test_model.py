@@ -201,6 +201,75 @@ def test_layer_is_permutation_equivariant_within_segment():
     assert np.allclose(out2.value, out1.value[perm], atol=1e-10)
 
 
+def primitive_layer(tape, params, cfg, h, layer, training, res_term=None):
+    """transformer_layer spelled out in primitive ops: per-head column
+    slices with their own scale, softmax, dropout and products, the
+    heads concatenated, and each norm as layer_norm_rows, mul and add."""
+    k = cfg.segment_k
+    d_head = cfg.hidden_dim // cfg.head_count
+    prefix = f"layers.{layer}"
+
+    def dense(name, x):
+        return tape.add(tape.matmul(x, params[f"{name}.weight"]), params[f"{name}.bias"])
+
+    def norm(name, x):
+        return tape.add(tape.mul(tape.layer_norm_rows(x), params[f"{name}.gain"]),
+                        params[f"{name}.bias"])
+
+    q, key, v = (dense(f"{prefix}.attn.{kind}", h) for kind in ("query", "key", "value"))
+    heads = []
+    for hd in range(cfg.head_count):
+        lo, hi = hd * d_head, (hd + 1) * d_head
+        scores = tape.attention_scores(tape.slice_cols(q, lo, hi),
+                                       tape.slice_cols(key, lo, hi), k)
+        probs = tape.softmax_rows(tape.scale(scores, 1.0 / np.sqrt(d_head)))
+        probs = tape.dropout(probs, cfg.dropout_attention, training)
+        heads.append(tape.attention_apply(probs, tape.slice_cols(v, lo, hi), k))
+    attn_out = dense(f"{prefix}.attn.out", tape.concat_cols(heads))
+    h1 = norm(f"{prefix}.norm1", tape.add(h, attn_out))
+    ff = dense(f"{prefix}.ffn.fc2", tape.gelu(dense(f"{prefix}.ffn.fc1", h1)))
+    ff = tape.dropout(ff, cfg.dropout_hidden, training)
+    h2 = norm(f"{prefix}.norm2", tape.add(h1, ff))
+    return h2 if res_term is None else tape.add(h2, res_term)
+
+
+@pytest.mark.parametrize("heads, residual", [(1, False), (2, True), (4, False)])
+def test_fused_layer_matches_primitive_composition(heads, residual):
+    """Two training-mode layers over 3 segments on one seeded tape: the
+    fused ops give the same output and gradients as the primitives,
+    which pins the order of the attention dropout masks."""
+    cfg = tiny_config(head_count=heads, segment_k=3, n_adj=3,
+                      dropout_hidden=0.4, dropout_attention=0.3)
+    rng = np.random.default_rng(21)
+    h0 = rng.standard_normal((9, 8))
+    res0 = rng.standard_normal((9, 8))
+    proj = rng.standard_normal((9, 8))
+
+    def run(layer_fn):
+        params = init_params(cfg, seed=22)
+        h = Tensor(h0.copy(), requires_grad=True)
+        res = Tensor(res0.copy(), requires_grad=True) if residual else None
+        tape = Tape(seed=23)
+        out = h
+        for layer in range(cfg.layer_count):
+            out = layer_fn(tape, params, cfg, out, layer, True, res)
+        tape.backward(tape.mse(tape.mul(out, proj), np.zeros_like(proj)))
+        grads = {name: t.grad for name, t in params.items() if t.grad is not None}
+        grads["h"] = h.grad
+        if residual:
+            grads["res"] = res.grad
+        return out.value, grads, tape.rng.random()
+
+    fused_out, fused_grads, fused_next = run(transformer_layer)
+    prim_out, prim_grads, prim_next = run(primitive_layer)
+    assert fused_next == prim_next  # the same number of draws
+    assert np.max(np.abs(fused_out - prim_out)) <= 1e-12
+    assert fused_grads.keys() == prim_grads.keys()
+    assert len(fused_grads) == 16 * cfg.layer_count + 1 + residual
+    for name, g in prim_grads.items():
+        assert np.max(np.abs(fused_grads[name] - g)) <= 1e-12, name
+
+
 def test_residual_modes_same_shape_different_values():
     ds = synth_dataset(count=6, seed=2, with_tags=True)
     plan = resolve_plan(ds, Strategy.PADDING_PRUNING, override=6)
@@ -301,6 +370,25 @@ def test_batched_classification_matches_per_graph_forward():
         solo = forward_graph(params, cfg, gi)
         e = np.exp(logits.value[i] - logits.value[i].max())
         assert np.allclose(e / e.sum(), solo.y_hat.value[0], atol=1e-9)
+
+
+def test_training_tape_length_is_pinned():
+    """One training classify_batch on the toy graph, 2 layers with the
+    raw residual, records 37 ops: 5 embedding, 1 residual, 14 per layer
+    and 3 in the head."""
+    from segbert.gradcheck import toy_graph
+
+    g = toy_graph()
+    cfg = ModelConfig(hidden_dim=4, head_count=2, intermediate_dim=4, class_count=2,
+                      attr_dim=3, use_tags=True, n_adj=5, segment_k=5,
+                      residual_mode="raw")
+    gi = prepare_graph(g, build_bundles(g, n_adj=5), UnifyPlan(Strategy.FULL_INPUT, 5), cfg)
+    tape = Tape(seed=0)
+    classify_batch(tape, init_params(cfg, seed=0), cfg, build_batch([gi], 2), training=True)
+    ops = [e.op for e in tape.entries]
+    assert len(ops) == 37
+    assert ops.count("multi_head_attention") == 2
+    assert ops.count("linear") == 17
 
 
 def test_full_input_permutation_invariance_quick():
