@@ -9,7 +9,8 @@ in reverse.
 
 The op set is exactly what a segmented graph transformer needs. The
 model records three fused ops: ``linear`` (matrix product plus a bias
-row), ``affine_layer_norm`` (row normalization, gain and bias) and
+row, whose input may also be a constant scipy sparse matrix),
+``affine_layer_norm`` (row normalization, gain and bias) and
 ``multi_head_attention`` (per-segment scaled dot-product attention of
 all heads, with the softmax and attention dropout inside). Alongside
 them sit the primitives: matrix products (including block-diagonal
@@ -34,6 +35,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.special import erf
 
 __all__ = [
@@ -222,29 +224,38 @@ class Tape:
         return self._record("matmul", (a, b), value, make)
 
     def linear(self, x, w, b) -> Tensor:
-        """x @ w plus the 1 x out bias row b: a dense layer as one op."""
-        x, w, b = self._coerce(x), self._coerce(w), self._coerce(b)
-        if x.value.shape[1] != w.value.shape[0]:
+        """x @ w plus the 1 x out bias row b: a dense layer as one op.
+
+        ``x`` may be a scipy sparse matrix, taken as a constant: the
+        products then cost O(non-zeros), and only w and b are inputs.
+        """
+        w, b = self._coerce(w), self._coerce(b)
+        if sparse.issparse(x):
+            xv, x, inputs = x, None, (w, b)
+        else:
+            x = self._coerce(x)
+            xv, inputs = x.value, (x, w, b)
+        if xv.shape[1] != w.value.shape[0]:
             raise ShapeError(
-                f"linear: inner dimensions differ: {x.value.shape} vs {w.value.shape}")
+                f"linear: inner dimensions differ: {xv.shape} vs {w.value.shape}")
         if b.value.shape != (1, w.value.shape[1]):
             raise ShapeError(
                 f"linear: bias shape {b.value.shape} does not match weight {w.value.shape}")
-        value = x.value @ w.value
+        value = xv @ w.value
         value += b.value
 
         def make(out: Tensor):
             def backward():
                 g = out.grad
-                if x.requires_grad:
+                if x is not None and x.requires_grad:
                     x._accumulate(g @ w.value.T)
                 if w.requires_grad:
-                    w._accumulate(x.value.T @ g)
+                    w._accumulate(xv.T @ g)
                 if b.requires_grad:
                     b._accumulate(g.sum(axis=0, keepdims=True))
             return backward
 
-        return self._record("linear", (x, w, b), value, make)
+        return self._record("linear", inputs, value, make)
 
     def _broadcast_binary(self, op: str, a, b, fn, da_fn, db_fn) -> Tensor:
         a, b = self._coerce(a), self._coerce(b)
@@ -425,22 +436,15 @@ class Tape:
     def dropout(self, a, rate: float, training: bool) -> Tensor:
         """Inverted dropout: kept entries are scaled by 1/(1-rate).
 
-        Eval mode is the identity. The mask comes from the tape RNG, so
-        a seeded tape replays the same masks.
+        Eval mode and rate 0 return ``a`` itself and record nothing.
+        The mask comes from the tape RNG, so a seeded tape replays the
+        same masks.
         """
         a = self._coerce(a)
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         if not training or rate == 0.0:
-            value = a.value.copy()
-
-            def make_eval(out: Tensor):
-                def backward():
-                    if a.requires_grad:
-                        a._accumulate(out.grad, shared=True)
-                return backward
-
-            return self._record("dropout", (a,), value, make_eval)
+            return a
 
         keep = 1.0 - rate
         mask = (self.rng.random(a.value.shape) >= rate) / keep

@@ -5,19 +5,27 @@ Weisfeiler-Lehman structural codes, truncated adjacency rows under the
 graph's fixed artificial node order, and the raw attribute vector when
 the dataset has one. Degrees, WL codes and node tags are turned into
 vectors through the same sinusoidal value embedding.
+
+Adjacency rows stay sparse: ``CsrRows`` holds the graph's own CSR
+arrays cut to the first n_adj columns, so their cost is O(arcs) rather
+than O(nodes x n_adj) whatever the row width. They stay plain numpy
+arrays until a product needs them as a scipy matrix.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .dataset import GraphDataset, GraphInstance
 
 __all__ = [
+    "CsrRows",
     "GraphFeatures",
     "compute_degrees",
     "compute_wl_codes",
@@ -143,17 +151,79 @@ def sinusoid_rows(values, d_h: int) -> np.ndarray:
 # per-graph feature arrays
 
 
+@dataclass(frozen=True)
+class CsrRows:
+    """Sparse rows ``width`` columns wide, in CSR form.
+
+    Row i has the values ``weights[indptr[i]:indptr[i + 1]]`` at the
+    columns ``indices[indptr[i]:indptr[i + 1]]``; every other entry is 0.
+    """
+
+    indptr: np.ndarray  # (rows + 1,) int64
+    indices: np.ndarray  # (nnz,) int64
+    weights: np.ndarray  # (nnz,) float64
+    width: int
+
+    @property
+    def row_count(self) -> int:
+        return len(self.indptr) - 1
+
+    def take(self, rows: np.ndarray) -> "CsrRows":
+        """The rows listed in ``rows``, in that order; -1 gives an empty row."""
+        starts = self.indptr[rows]
+        # row -1 spans indptr[-1] to indptr[0], a count of -nnz, clipped to 0
+        counts = np.maximum(self.indptr[rows + 1] - starts, 0)
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        counts.cumsum(out=indptr[1:])
+        src = np.arange(indptr[-1]) + (starts - indptr[:-1]).repeat(counts)
+        return CsrRows(indptr, self.indices[src], self.weights[src], self.width)
+
+    def toarray(self) -> np.ndarray:
+        """The dense (rows, width) array."""
+        out = np.zeros((self.row_count, self.width))
+        rows = np.arange(self.row_count).repeat(np.diff(self.indptr))
+        out[rows, self.indices] = self.weights
+        return out
+
+    @staticmethod
+    def stack(parts: Sequence["CsrRows"]) -> "CsrRows":
+        """The rows of every part, in order."""
+        nnz = np.cumsum([0] + [len(p.indices) for p in parts])
+        indptr = np.concatenate([p.indptr[:-1] + off for p, off in zip(parts, nnz)]
+                                + [nnz[-1:]])
+        return CsrRows(indptr, np.concatenate([p.indices for p in parts]),
+                       np.concatenate([p.weights for p in parts]), parts[0].width)
+
+    @cached_property
+    def matrix(self) -> sparse.csr_array:
+        """The rows as a scipy CSR array sharing these arrays, built on
+        first use and kept."""
+        return sparse.csr_array((self.weights, self.indices, self.indptr),
+                                shape=(self.row_count, self.width))
+
+
 @dataclass
 class GraphFeatures:
     """Everything the model needs to embed the nodes of one graph: row i
     of each array is node i. Adjacency rows follow the fixed node order,
-    truncated or zero-padded to n_adj columns."""
+    truncated to the first n_adj columns and kept sparse."""
 
     degrees: np.ndarray  # (n,) int64
     wl_codes: np.ndarray  # (n,) int64
-    adjacency: np.ndarray  # (n, n_adj)
+    adjacency: CsrRows  # n rows, n_adj wide
     tags: np.ndarray | None  # (n,) int64
     attributes: np.ndarray | None  # (n, attr_dim)
+
+
+def _adjacency_rows(g: GraphInstance, n_adj: int) -> CsrRows:
+    """The graph's CSR arrays cut to columns below n_adj; the graph's
+    own arrays when no arc reaches that far."""
+    if g.node_count <= n_adj:
+        return CsrRows(g.indptr, g.indices, g.weights, n_adj)
+    keep = g.indices < n_adj
+    kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    return CsrRows(kept_before[g.indptr], g.indices[keep], g.weights[keep], n_adj)
 
 
 def build_bundles(g: GraphInstance, n_adj: int,
@@ -170,11 +240,9 @@ def build_bundles(g: GraphInstance, n_adj: int,
     if len(wl_codes) != g.node_count:
         raise ValueError(
             f"wl_codes length {len(wl_codes)} does not match {g.node_count} nodes")
-    keep = g.indices < n_adj
-    adjacency = np.zeros((g.node_count, n_adj))
-    adjacency[g.arc_rows()[keep], g.indices[keep]] = g.weights[keep]
     return GraphFeatures(
-        compute_degrees(g), np.asarray(wl_codes, dtype=np.int64), adjacency,
+        compute_degrees(g), np.asarray(wl_codes, dtype=np.int64),
+        _adjacency_rows(g, n_adj),
         tags=None if g.node_tags is None else np.asarray(g.node_tags, dtype=np.int64),
         attributes=None if g.node_attributes is None
         else np.asarray(g.node_attributes, dtype=np.float64))

@@ -106,7 +106,7 @@ def model_gradcheck(residual_mode: str = "none", hidden_dim: int = 32,
     batch = build_batch([gi], cfg.class_count)
     onehot = batch.labels_onehot
     target_w = structure_target(gi)
-    raw_target = batch.raw[batch.real_slot_lists[0]]
+    raw_target = batch.raw_rows(batch.real_slot_lists[0])
 
     def run_loss(tape: Tape) -> Tensor:
         h = encode(tape, params, cfg, batch, training=False)

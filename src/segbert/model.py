@@ -19,6 +19,13 @@ layout. Projections are fused ``linear`` ops and norms are
 ``affine_layer_norm`` ops, so a layer records 13 ops (14 with the raw
 residual) and the tape length per batch does not grow with the batch
 size.
+
+The adjacency channel is sparse from end to end: each graph's slot
+rows are CSR arrays gathered from its own, a batch stacks them into one
+set of CSR arrays, and ``adj_embed.fc1`` (and the raw residual, when
+the raw rows are the adjacency rows) multiplies them as one scipy CSR
+matrix, built at the first product. Its cost is O(arcs), not
+O(slots x n_adj).
 """
 
 from __future__ import annotations
@@ -29,8 +36,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import Tape, Tensor
-from .dataset import GraphDataset, GraphInstance, weight_matrix
-from .features import GraphFeatures, dataset_bundles, sinusoid_rows
+from .dataset import GraphDataset, GraphInstance
+from .features import CsrRows, GraphFeatures, dataset_bundles, sinusoid_rows
 from .unify import UnifyPlan, resolve_n_adj, unify
 
 __all__ = [
@@ -235,9 +242,8 @@ class GraphInputs:
     graph: GraphInstance
     segments: list
     const_rows: np.ndarray
-    adj_rows: np.ndarray
+    adj_rows: CsrRows
     attr_rows: np.ndarray | None
-    raw_rows: np.ndarray
     real_slots: np.ndarray
     kept_nodes: np.ndarray
     label: int
@@ -255,30 +261,32 @@ def prepare_graph(g: GraphInstance, features: GraphFeatures, plan: UnifyPlan,
     dummy = slot_node < 0
     d = config.hidden_dim
 
-    def gather(per_node, dtype=None):
-        """Per-slot rows of a per-node array; zero at dummy slots."""
-        out = np.asarray(per_node[slot_node], dtype=dtype)
-        out[dummy] = 0
-        return out
-
-    const = (sinusoid_rows(gather(features.degrees, np.float64), d)
-             + sinusoid_rows(gather(features.wl_codes, np.float64), d))
+    codes = [features.degrees, features.wl_codes]
     if config.attr_dim == 0 and config.use_tags and features.tags is not None:
-        tag_rows = sinusoid_rows(gather(features.tags, np.float64), d)
-        tag_rows[dummy] = 0.0
-        const += tag_rows
-    adj = gather(features.adjacency)
+        codes.append(features.tags)
+    # one sinusoid call embeds every integer channel
+    values = np.stack(codes)[:, slot_node].astype(np.float64)
+    values[:, dummy] = 0.0
+    sinusoids = sinusoid_rows(values.reshape(-1), d).reshape(len(codes), -1, d)
+    const = sinusoids[0] + sinusoids[1]
+    if len(codes) == 3:  # tags: no tag term at dummy slots
+        sinusoids[2][dummy] = 0.0
+        const += sinusoids[2]
+    adj = features.adjacency.take(slot_node)
     attr = None
     if config.attr_dim > 0:
-        attr = (np.zeros((len(slot_node), config.attr_dim)) if features.attributes is None
-                else gather(features.attributes))
+        if features.attributes is None:
+            attr = np.zeros((len(slot_node), config.attr_dim))
+        else:
+            attr = features.attributes[slot_node]
+            attr[dummy] = 0.0
 
     real = np.flatnonzero(~dummy)
     by_node = np.argsort(slot_node[real], kind="stable")
     real = real[by_node]
     return GraphInputs(graph=g, segments=segments, const_rows=const, adj_rows=adj,
-                       attr_rows=attr, raw_rows=adj if attr is None else attr,
-                       real_slots=real, kept_nodes=slot_node[real], label=g.label)
+                       attr_rows=attr, real_slots=real, kept_nodes=slot_node[real],
+                       label=g.label)
 
 
 def prepare_dataset(dataset: GraphDataset, plan: UnifyPlan,
@@ -293,27 +301,34 @@ def prepare_dataset(dataset: GraphDataset, plan: UnifyPlan,
 
 @dataclass
 class BatchData:
+    """Stacked slot rows of a batch. ``raw`` is ``attr`` when there are
+    attributes and ``adj`` otherwise."""
+
     const: np.ndarray
-    adj: np.ndarray
+    adj: CsrRows
     attr: np.ndarray | None
-    raw: np.ndarray
+    raw: np.ndarray | CsrRows
     real_slot_lists: list
     avg_matrix: np.ndarray
     labels_onehot: np.ndarray
     members: list
+
+    def raw_rows(self, slots) -> np.ndarray:
+        """Dense raw rows at the given slots (a reconstruction target)."""
+        if isinstance(self.raw, CsrRows):
+            return self.raw.take(slots).toarray()
+        return self.raw[slots]
 
 
 def build_batch(graph_inputs: list, class_count: int) -> BatchData:
     """Stack prepared graphs into one slot matrix plus bookkeeping."""
     if not graph_inputs:
         raise ValueError("empty batch")
-    consts, adjs, attrs, raws = [], [], [], []
+    consts, attrs = [], []
     real_lists = []
     offset = 0
     for gi in graph_inputs:
         consts.append(gi.const_rows)
-        adjs.append(gi.adj_rows)
-        raws.append(gi.raw_rows)
         if gi.attr_rows is not None:
             attrs.append(gi.attr_rows)
         real_lists.append(gi.real_slots + offset)
@@ -324,11 +339,13 @@ def build_batch(graph_inputs: list, class_count: int) -> BatchData:
     for b, (gi, slots) in enumerate(zip(graph_inputs, real_lists)):
         avg[b, slots] = 1.0 / len(slots)
         labels[b, gi.label] = 1.0
+    adj = CsrRows.stack([gi.adj_rows for gi in graph_inputs])
+    attr = np.concatenate(attrs, axis=0) if attrs else None
     return BatchData(
         const=np.concatenate(consts, axis=0),
-        adj=np.concatenate(adjs, axis=0),
-        attr=np.concatenate(attrs, axis=0) if attrs else None,
-        raw=np.concatenate(raws, axis=0),
+        adj=adj,
+        attr=attr,
+        raw=adj if attr is None else attr,
         real_slot_lists=real_lists,
         avg_matrix=avg,
         labels_onehot=labels,
@@ -343,7 +360,7 @@ def build_batch(graph_inputs: list, class_count: int) -> BatchData:
 def initial_embedding(tape: Tape, params: ModelParams, config: ModelConfig,
                       batch: BatchData) -> Tensor:
     """Sum of the four per-slot channels as one (rows, d_h) tensor."""
-    hidden = tape.gelu(_linear(tape, params, "adj_embed.fc1", tape.constant(batch.adj)))
+    hidden = tape.gelu(_linear(tape, params, "adj_embed.fc1", batch.adj.matrix))
     channels = [tape.constant(batch.const), _linear(tape, params, "adj_embed.fc2", hidden)]
     if config.attr_dim > 0:
         channels.append(_linear(tape, params, "attr_embed", tape.constant(batch.attr)))
@@ -386,7 +403,8 @@ def encode(tape: Tape, params: ModelParams, config: ModelConfig,
     h = initial_embedding(tape, params, config, batch)
     res_term = None
     if config.residual_mode == "raw":
-        res_term = _linear(tape, params, "residual", tape.constant(batch.raw))
+        raw = batch.raw.matrix if isinstance(batch.raw, CsrRows) else batch.raw
+        res_term = _linear(tape, params, "residual", raw)
     for l in range(config.layer_count):
         h = transformer_layer(tape, params, config, h, l, training, res_term)
     return h
@@ -439,9 +457,16 @@ def recover_structure(tape: Tape, h_final: Tensor) -> Tensor:
 
 
 def structure_target(gi: GraphInputs) -> np.ndarray:
-    """Connection weights between the kept nodes, in kept-node order."""
-    w = weight_matrix(gi.graph)
-    return w[np.ix_(gi.kept_nodes, gi.kept_nodes)]
+    """Connection weights between the kept nodes, in kept-node order,
+    read from the graph's arcs without its full n x n matrix."""
+    g, kept = gi.graph, gi.kept_nodes
+    position = np.full(g.node_count, -1, dtype=np.int64)
+    position[kept] = np.arange(len(kept))
+    rows, cols = position[g.arc_rows()], position[g.indices]
+    inside = (rows >= 0) & (cols >= 0)
+    out = np.zeros((len(kept), len(kept)))
+    out[rows[inside], cols[inside]] = g.weights[inside]
+    return out
 
 
 # ----------------------------------------------------------------------

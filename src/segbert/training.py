@@ -239,7 +239,7 @@ def pretrain_batch_loss(tape: Tape, params: ModelParams, config: ModelConfig,
         h_final = tape.take_rows(h, slots)
         if "reconstruction" in tasks:
             terms.append(tape.mse(reconstruct_attributes(tape, params, h_final),
-                                  batch.raw[slots]))
+                                  batch.raw_rows(slots)))
         if "structure" in tasks and len(slots) >= 2:
             terms.append(tape.mse(recover_structure(tape, h_final),
                                   structure_target(gi)))

@@ -7,6 +7,7 @@ against a scalar reference implementation written independently here.
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from segbert.autodiff import (
     AdamState,
@@ -183,8 +184,45 @@ def test_dropout_train_scales_and_eval_identity():
     frac = kept.mean()
     assert 0.45 < frac < 0.75  # keep prob 0.6
 
-    ev = tape.dropout(Tensor(x), rate=0.4, training=False)
-    assert np.array_equal(ev.value, x)
+    # eval mode and rate 0 hand back the input itself and record nothing
+    a = Tensor(x, requires_grad=True)
+    assert tape.dropout(a, rate=0.4, training=False) is a
+    assert tape.dropout(a, rate=0.0, training=True) is a
+    assert tape.entries == []
+
+
+@pytest.mark.parametrize("case", ["mixed", "empty_rows", "no_nonzeros"])
+def test_sparse_linear_matches_dense(case):
+    """A CSR input gives the dense product and the same w and b
+    gradients to 1e-12, in one recorded linear entry."""
+    rng = np.random.default_rng(21)
+    x = np.where(rng.random((9, 7)) < 0.3, rng.standard_normal((9, 7)), 0.0)
+    if case == "empty_rows":
+        x[[0, 4, 8]] = 0.0
+    elif case == "no_nonzeros":
+        x[:] = 0.0
+    w0, b0 = rng.standard_normal((7, 5)), rng.standard_normal((1, 5))
+    proj = rng.standard_normal((9, 5))
+    runs = []
+    for xin in (Tensor(x), sparse.csr_array(x)):
+        tape = Tape()
+        w, b = Tensor(w0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True)
+        out = tape.linear(xin, w, b)
+        assert [e.op for e in tape.entries] == ["linear"]
+        tape.backward(scalarize(tape, out, proj))
+        runs.append((out.value, w.grad, b.grad))
+    for dense_arr, sparse_arr in zip(*runs):
+        assert np.allclose(sparse_arr, dense_arr, rtol=1e-12, atol=1e-12)
+
+
+def test_sparse_linear_shape_and_finiteness_checks():
+    tape = Tape()
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    with pytest.raises(ShapeError, match="inner dimensions"):
+        tape.linear(sparse.csr_array(np.ones((2, 4))), w, Tensor(np.zeros((1, 2))))
+    with pytest.raises(NonFiniteError, match="'linear'"):
+        tape.linear(sparse.csr_array(np.full((2, 3), 1e308)), Tensor(np.full((3, 2), 1e308)),
+                    Tensor(np.zeros((1, 2))))
 
 
 def test_mean_rows_value():

@@ -235,19 +235,21 @@ def test_sinusoid_rows_matches_scalar():
 def test_bundle_two_node_path():
     g = path_graph(2)
     features = build_bundles(g, n_adj=4)
+    adjacency = features.adjacency.toarray()
     assert features.degrees[0] == 1
-    assert np.array_equal(features.adjacency[0], [0.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(adjacency[0], [0.0, 1.0, 0.0, 0.0])
     assert features.attributes is None
     assert features.tags is None
-    assert np.array_equal(features.adjacency[1], [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(adjacency[1], [1.0, 0.0, 0.0, 0.0])
 
 
 def test_bundle_adjacency_truncation():
     g = cycle_graph(6)
     features = build_bundles(g, n_adj=3)
+    adjacency = features.adjacency.toarray()
     # node 5 connects to 4 and 0; only column 0 survives truncation
-    assert np.array_equal(features.adjacency[5], [1.0, 0.0, 0.0])
-    assert features.adjacency.shape == (6, 3)
+    assert np.array_equal(adjacency[5], [1.0, 0.0, 0.0])
+    assert adjacency.shape == (6, 3)
 
 
 def test_bundle_carries_tags_and_attrs():
