@@ -10,79 +10,76 @@ the same build).
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
-from .dataset import DatasetError, load_tu_dataset
+from .dataset import DatasetError, GraphDataset, load_tu_dataset
 from .gradcheck import model_gradcheck
-from .model import config_for, init_params, save_checkpoint
+from .model import RESIDUAL_MODES, ModelConfig, config_for, init_params, save_checkpoint
 from .training import TrainConfig, default_learning_rate, run_cv
 from .unify import Strategy, resolve_plan
 
-__all__ = ["RunConfig", "main", "cmd_train", "cmd_inspect", "cmd_gradcheck"]
+__all__ = ["RunConfig", "build_configs", "main", "cmd_train", "cmd_inspect", "cmd_gradcheck"]
 
 ECHO_NAME = "config_echo.txt"
 
-# field name -> (kind, default, help); kind governs parsing and echo
-_FIELD_SPEC = {
-    "dataset": ("str", "", "dataset name, e.g. MUTAG"),
-    "data_dir": ("str", "", "directory holding the dataset files "
-                            "(fallback: SEGBERT_DATA_DIR)"),
-    "strategy": ("str", "segment-shifting",
-                 "size unification: full-input | padding-pruning | "
-                 "segment-shifting"),
-    "k": ("optint", None, "input portal size override"),
-    "residual": ("str", "none", "graph residual mode: none | raw"),
-    "hidden": ("int", 32, "hidden width"),
-    "heads": ("int", 2, "attention heads"),
-    "layers": ("int", 2, "transformer layers"),
-    "intermediate": ("int", 32, "feed-forward inner width"),
-    "dropout_hidden": ("float", 0.5, "dropout after the feed-forward block"),
-    "dropout_attn": ("float", 0.3, "dropout on attention probabilities"),
-    "wl_iterations": ("int", 2, "structural-role refinement rounds"),
-    "lr": ("optfloat", None, "learning rate (default by dataset family)"),
-    "weight_decay": ("float", 5e-4, "decoupled weight decay"),
-    "epochs": ("int", 500, "maximum training epochs per fold"),
-    "patience": ("int", 50, "early-stop patience in epochs"),
-    "batch_size": ("int", 32, "graphs per mini-batch"),
-    "seed": ("int", 0, "master seed"),
-    "pretrain": ("str", "", "comma list of pre-training tasks: "
-                            "structure,reconstruction (empty = off)"),
-    "pretrain_epochs": ("int", 50, "pre-training epochs"),
-    "grad_clip": ("optfloat", None, "global gradient-norm cap (off if unset)"),
-    "jobs": ("int", 1, "parallel fold workers"),
-    "out": ("str", "", "output directory (default runs/<dataset>)"),
-    "checkpoint": ("str", "", "write best-validation fold parameters here"),
-}
+
+def _key(default, help_text, choices=None, sets=None):
+    """A RunConfig field with its flag help and choices, if any, in its
+    metadata. ``sets=(owner, attr)`` names the ModelConfig or TrainConfig
+    field it sets in `build_configs`, whose default it takes."""
+    metadata = {"help": help_text}
+    if choices is not None:
+        metadata["choices"] = tuple(choices)
+        metadata["help"] += ": " + " | ".join(choices)
+    if sets is not None:
+        metadata["sets"] = sets
+        default = getattr(*sets)
+    return field(default=default, metadata=metadata)
+
+
+def _model(attr, help_text, choices=None):
+    return _key(None, help_text, choices, sets=(ModelConfig, attr))
+
+
+def _train(attr, help_text):
+    return _key(None, help_text, sets=(TrainConfig, attr))
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    dataset: str = ""
-    data_dir: str = ""
-    strategy: str = "segment-shifting"
-    k: int | None = None
-    residual: str = "none"
-    hidden: int = 32
-    heads: int = 2
-    layers: int = 2
-    intermediate: int = 32
-    dropout_hidden: float = 0.5
-    dropout_attn: float = 0.3
-    wl_iterations: int = 2
-    lr: float | None = None
-    weight_decay: float = 5e-4
-    epochs: int = 500
-    patience: int = 50
-    batch_size: int = 32
-    seed: int = 0
-    pretrain: str = ""
-    pretrain_epochs: int = 50
-    grad_clip: float | None = None
-    jobs: int = 1
-    out: str = ""
-    checkpoint: str = ""
+    """Every `train`/`inspect` setting: one config key and one flag per
+    field, parsed as its annotation's type (blank is None for ``X | None``)."""
+
+    dataset: str = _key("", "dataset name, e.g. MUTAG")
+    data_dir: str = _key("", "directory holding the dataset files "
+                             "(fallback: SEGBERT_DATA_DIR)")
+    strategy: str = _key(Strategy.SEGMENT_SHIFTING.value, "size unification",
+                         choices=[s.value for s in Strategy])
+    k: int | None = _key(None, "input portal size override")
+    residual: str = _model("residual_mode", "graph residual mode", RESIDUAL_MODES)
+    hidden: int = _model("hidden_dim", "hidden width")
+    heads: int = _model("head_count", "attention heads")
+    layers: int = _model("layer_count", "transformer layers")
+    intermediate: int = _model("intermediate_dim", "feed-forward inner width")
+    dropout_hidden: float = _model("dropout_hidden", "dropout after the feed-forward block")
+    dropout_attn: float = _model("dropout_attention", "dropout on attention probabilities")
+    wl_iterations: int = _model("wl_iterations", "structural-role refinement rounds")
+    lr: float | None = _key(None, "learning rate (default by dataset family)")
+    weight_decay: float = _train("weight_decay", "decoupled weight decay")
+    epochs: int = _train("epochs", "maximum training epochs per fold")
+    patience: int = _train("early_stop_patience", "early-stop patience in epochs")
+    batch_size: int = _train("batch_size", "graphs per mini-batch")
+    seed: int = _train("seed", "master seed")
+    pretrain: str = _key("", "comma list of pre-training tasks: "
+                             "structure,reconstruction (empty = off)")
+    pretrain_epochs: int = _train("pretrain_epochs", "pre-training epochs")
+    grad_clip: float | None = _train("grad_clip", "global gradient-norm cap (off if unset)")
+    jobs: int = _key(1, "parallel fold workers")
+    out: str = _key("", "output directory (default runs/<dataset>)")
+    checkpoint: str = _key("", "write best-validation fold parameters here")
 
     def to_text(self) -> str:
         lines = []
@@ -98,15 +95,27 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-def _parse_value(kind: str, raw: str):
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+_TYPES = {"str": str, "int": int, "float": float}
+
+
+def _field_type(f):
+    """The parse type of an annotation like 'int | None', and whether it
+    takes None."""
+    name, _, rest = f.type.partition(" | ")
+    return _TYPES[name], rest == "None"
+
+
+def _parse_value(f, raw: str):
+    kind, optional = _field_type(f)
     raw = raw.strip()
-    if kind in ("optint", "optfloat") and raw == "":
+    if optional and raw == "":
         return None
-    if kind in ("int", "optint"):
-        return int(raw)
-    if kind in ("float", "optfloat"):
-        return float(raw)
-    return raw
+    value = kind(raw)
+    choices = f.metadata.get("choices")
+    if choices is not None and value not in choices:
+        raise ValueError(f"invalid choice {value!r} (choose from {', '.join(choices)})")
+    return value
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -120,11 +129,12 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ValueError(f"{source}:{lineno}: expected key=value")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELD_SPEC:
+        if key not in _FIELDS:
             raise ValueError(f"{source}:{lineno}: unknown config key {key!r}")
-        kind = _FIELD_SPEC[key][0]
+        if key in values:
+            raise ValueError(f"{source}:{lineno}: duplicate config key {key!r}")
         try:
-            values[key] = _parse_value(kind, raw)
+            values[key] = _parse_value(_FIELDS[key], raw)
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: bad value for {key}: "
                              f"{exc}") from exc
@@ -137,11 +147,11 @@ def config_from_text(text: str, source: str = "<config>") -> RunConfig:
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """defaults < config file < explicit flags."""
-    values = {name: spec[1] for name, spec in _FIELD_SPEC.items()}
+    values = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             values.update(parse_config_text(fh.read(), args.config))
-    for name in _FIELD_SPEC:
+    for name in _FIELDS:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             values[name] = flag_value
@@ -151,18 +161,26 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file; flags "
                         "override its entries")
-    for name, (kind, _default, help_text) in _FIELD_SPEC.items():
-        flag = "--" + name.replace("_", "-")
-        kwargs = {"help": help_text, "default": None, "dest": name}
-        if kind in ("int", "optint"):
-            kwargs["type"] = int
-        elif kind in ("float", "optfloat"):
-            kwargs["type"] = float
-        if name == "strategy":
-            kwargs["choices"] = [s.value for s in Strategy]
-        if name == "residual":
-            kwargs["choices"] = ["none", "raw"]
-        parser.add_argument(flag, **kwargs)
+    for name, f in _FIELDS.items():
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                            type=_field_type(f)[0], choices=f.metadata.get("choices"),
+                            help=f.metadata["help"])
+
+
+def build_configs(cfg: RunConfig, dataset: GraphDataset):
+    """The unify plan, ModelConfig and TrainConfig that ``cfg`` stands for."""
+    plan = resolve_plan(dataset, Strategy(cfg.strategy), cfg.k)
+    owned = {ModelConfig: {}, TrainConfig: {}}
+    for name, f in _FIELDS.items():
+        if "sets" in f.metadata:
+            owner, attr = f.metadata["sets"]
+            owned[owner][attr] = getattr(cfg, name)
+    model_cfg = config_for(dataset, plan, **owned[ModelConfig])
+    lr = cfg.lr if cfg.lr is not None else default_learning_rate(cfg.dataset)
+    train_cfg = TrainConfig(learning_rate=lr,
+                            pretrain_tasks=tuple(t for t in cfg.pretrain.split(",") if t),
+                            **owned[TrainConfig])
+    return plan, model_cfg, train_cfg
 
 
 def _resolve_data_dir(cfg: RunConfig) -> str:
@@ -186,34 +204,10 @@ def _load(cfg: RunConfig):
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     dataset, directory = _load(cfg)
-    plan = resolve_plan(dataset, Strategy(cfg.strategy), cfg.k)
-    model_cfg = config_for(
-        dataset, plan,
-        hidden_dim=cfg.hidden,
-        head_count=cfg.heads,
-        layer_count=cfg.layers,
-        intermediate_dim=cfg.intermediate,
-        dropout_hidden=cfg.dropout_hidden,
-        dropout_attention=cfg.dropout_attn,
-        residual_mode=cfg.residual,
-        wl_iterations=cfg.wl_iterations,
-    )
-    lr = cfg.lr if cfg.lr is not None else default_learning_rate(cfg.dataset)
-    tasks = tuple(t for t in cfg.pretrain.split(",") if t)
-    train_cfg = TrainConfig(
-        learning_rate=lr,
-        weight_decay=cfg.weight_decay,
-        epochs=cfg.epochs,
-        early_stop_patience=cfg.patience,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-        pretrain_tasks=tasks,
-        pretrain_epochs=cfg.pretrain_epochs,
-        grad_clip=cfg.grad_clip,
-    )
+    plan, model_cfg, train_cfg = build_configs(cfg, dataset)
     out_dir = cfg.out or os.path.join("runs", cfg.dataset)
-    resolved = replace(cfg, data_dir=directory, k=plan.k, lr=lr, out=out_dir,
-                       strategy=plan.strategy.value)
+    resolved = replace(cfg, data_dir=directory, k=plan.k, lr=train_cfg.learning_rate,
+                       out=out_dir, strategy=plan.strategy.value)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, ECHO_NAME), "w", encoding="utf-8") as fh:
         fh.write(resolved.to_text())
@@ -248,7 +242,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    modes = ["none", "raw"] if args.residual == "both" else [args.residual]
+    modes = RESIDUAL_MODES if args.residual == "both" else [args.residual]
     worst = 0.0
     ok = True
     for mode in modes:
@@ -294,16 +288,18 @@ def main(argv=None) -> int:
 
     p_grad = sub.add_parser("gradcheck",
                             help="finite-difference gradient check")
-    p_grad.add_argument("--residual", choices=["both", "none", "raw"],
+    p_grad.add_argument("--residual", choices=("both",) + RESIDUAL_MODES,
                         default="both")
-    p_grad.add_argument("--hidden", type=int, default=32)
-    p_grad.add_argument("--heads", type=int, default=2)
-    p_grad.add_argument("--layers", type=int, default=2)
-    p_grad.add_argument("--intermediate", type=int, default=32)
-    p_grad.add_argument("--attr-dim", type=int, default=3, dest="attr_dim")
-    p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--step", type=float, default=1e-5)
-    p_grad.add_argument("--tolerance", type=float, default=1e-3)
+    default = {name: p.default for name, p
+               in inspect.signature(model_gradcheck).parameters.items()}
+    p_grad.add_argument("--hidden", type=int, default=default["hidden_dim"])
+    p_grad.add_argument("--heads", type=int, default=default["head_count"])
+    p_grad.add_argument("--layers", type=int, default=default["layer_count"])
+    p_grad.add_argument("--intermediate", type=int, default=default["intermediate_dim"])
+    p_grad.add_argument("--attr-dim", type=int, default=default["attr_dim"], dest="attr_dim")
+    p_grad.add_argument("--seed", type=int, default=default["seed"])
+    p_grad.add_argument("--step", type=float, default=default["step"])
+    p_grad.add_argument("--tolerance", type=float, default=default["tolerance"])
     p_grad.set_defaults(func=cmd_gradcheck)
 
     args = parser.parse_args(argv)

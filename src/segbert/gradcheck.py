@@ -38,6 +38,7 @@ __all__ = ["GradCheckReport", "finite_difference_check", "model_gradcheck",
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-3
+TOY_ATTR_DIM = 3
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -46,7 +47,7 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / denom))
 
 
-def toy_graph(attr_dim: int = 3) -> GraphInstance:
+def toy_graph(attr_dim: int = TOY_ATTR_DIM) -> GraphInstance:
     """Five nodes, a path with two chords, deterministic tags/attrs."""
     pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 3)]
     arcs = sorted({(i, j, 1.0) for i, j in pairs} | {(j, i, 1.0) for i, j in pairs})
@@ -79,20 +80,21 @@ class GradCheckReport:
         return out
 
 
-def model_gradcheck(residual_mode: str = "none", hidden_dim: int = 32,
-                    head_count: int = 2, layer_count: int = 2,
-                    intermediate_dim: int = 32, attr_dim: int = 3,
-                    seed: int = 0, step: float = DEFAULT_STEP,
+def model_gradcheck(residual_mode: str = ModelConfig.residual_mode,
+                    hidden_dim: int = ModelConfig.hidden_dim,
+                    head_count: int = ModelConfig.head_count,
+                    layer_count: int = ModelConfig.layer_count,
+                    intermediate_dim: int = ModelConfig.intermediate_dim,
+                    attr_dim: int = TOY_ATTR_DIM, seed: int = 0, step: float = DEFAULT_STEP,
                     tolerance: float = DEFAULT_TOLERANCE) -> GradCheckReport:
     """Check every parameter group of a small model; returns a report."""
     g = toy_graph(attr_dim)
+    # dropout keeps ModelConfig's rates, which eval mode ignores
     cfg = ModelConfig(
         hidden_dim=hidden_dim,
         head_count=head_count,
         layer_count=layer_count,
         intermediate_dim=intermediate_dim,
-        dropout_hidden=0.5,  # irrelevant in eval mode, kept at defaults
-        dropout_attention=0.3,
         residual_mode=residual_mode,
         class_count=2,
         attr_dim=attr_dim,

@@ -37,10 +37,11 @@ import numpy as np
 
 from .autodiff import Tape, Tensor
 from .dataset import GraphDataset, GraphInstance
-from .features import CsrRows, GraphFeatures, dataset_bundles, sinusoid_rows
+from .features import DEFAULT_WL_ITERATIONS, CsrRows, GraphFeatures, dataset_bundles, sinusoid_rows
 from .unify import UnifyPlan, resolve_n_adj, unify
 
 __all__ = [
+    "RESIDUAL_MODES",
     "ModelConfig",
     "ModelParams",
     "GraphInputs",
@@ -66,6 +67,10 @@ __all__ = [
 # ----------------------------------------------------------------------
 # configuration
 
+# graph residual modes, the first being the default: "raw" adds a linear
+# map of each slot's raw row to every layer's input
+RESIDUAL_MODES = ("none", "raw")
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -75,13 +80,13 @@ class ModelConfig:
     intermediate_dim: int = 32
     dropout_hidden: float = 0.5
     dropout_attention: float = 0.3
-    residual_mode: str = "none"
+    residual_mode: str = RESIDUAL_MODES[0]
     class_count: int = 2
     attr_dim: int = 0
     use_tags: bool = False
     n_adj: int = 1
     segment_k: int = 1
-    wl_iterations: int = 2
+    wl_iterations: int = DEFAULT_WL_ITERATIONS
 
     def __post_init__(self):
         if self.hidden_dim <= 0 or self.hidden_dim % 2 != 0:
@@ -97,8 +102,8 @@ class ModelConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {rate}")
-        if self.residual_mode not in ("none", "raw"):
-            raise ValueError(f"residual_mode must be 'none' or 'raw', got {self.residual_mode!r}")
+        if self.residual_mode not in RESIDUAL_MODES:
+            raise ValueError(f"residual_mode must be in {RESIDUAL_MODES}, got {self.residual_mode!r}")
         if self.class_count < 2:
             raise ValueError(f"class_count must be at least 2, got {self.class_count}")
         if self.attr_dim < 0:
@@ -107,6 +112,8 @@ class ModelConfig:
             raise ValueError(f"n_adj must be positive, got {self.n_adj}")
         if self.segment_k <= 0:
             raise ValueError(f"segment_k must be positive, got {self.segment_k}")
+        if self.wl_iterations < 0:
+            raise ValueError(f"wl_iterations must be non-negative, got {self.wl_iterations}")
 
     @property
     def raw_width(self) -> int:

@@ -60,8 +60,8 @@ EVAL_CHUNK = 256
 
 
 def default_learning_rate(dataset_name: str) -> float:
-    """5e-4 for the PTC family, 1e-4 everywhere else."""
-    return 5e-4 if dataset_name.upper().startswith("PTC") else 1e-4
+    """5e-4 for the PTC family, TrainConfig's default everywhere else."""
+    return 5e-4 if dataset_name.upper().startswith("PTC") else TrainConfig.learning_rate
 
 
 @dataclass(frozen=True)
@@ -381,15 +381,17 @@ def run_cv(dataset: GraphDataset, plan: UnifyPlan, config: ModelConfig,
     """Run all 10 folds; optionally write the CSV reports.
 
     Pre-training, when enabled in train_cfg, runs once over the whole
-    dataset and every fold starts from those parameters.
+    dataset and every fold starts from those parameters. ``jobs`` folds
+    run at once in worker processes; 1 runs them in this process.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     inputs = prepare_dataset(dataset, plan, config)
     splits = make_folds(dataset, seed=train_cfg.seed)
     init = None
     if train_cfg.pretrain_tasks:
         init = pretrain(dataset, plan, config, train_cfg, inputs=inputs)
 
-    jobs = max(1, int(jobs))
     packed = [(inputs, split, config, train_cfg, fold, init)
               for fold, split in enumerate(splits)]
     reports = []

@@ -7,9 +7,12 @@ import pytest
 
 import segbert.autodiff as autodiff
 from conftest import synth_dataset
-from segbert.cli import RunConfig, config_from_text, main, parse_config_text
-from segbert.dataset import write_tu_dataset
-from segbert.model import load_checkpoint
+from segbert.cli import (RunConfig, build_configs, config_from_text, main,
+                         parse_config_text)
+from segbert.dataset import load_tu_dataset, write_tu_dataset
+from segbert.model import ModelConfig, config_for, load_checkpoint
+from segbert.training import TrainConfig, default_learning_rate
+from segbert.unify import Strategy, resolve_plan
 
 
 @pytest.fixture()
@@ -60,6 +63,87 @@ def test_parse_config_reports_line_numbers():
 def test_parse_config_skips_comments_and_blanks():
     values = parse_config_text("# comment\n\nseed=4\n")
     assert values == {"seed": 4}
+
+
+def test_parse_config_rejects_duplicate_key():
+    with pytest.raises(ValueError, match="cfg:3: duplicate config key 'seed'"):
+        parse_config_text("seed=1\nepochs=4\nseed=2\n", "cfg")
+
+
+@pytest.mark.parametrize("key, value", [("strategy", "sideways"),
+                                        ("residual", "bogus")])
+def test_config_file_values_checked_against_flag_choices(key, value, data_dir,
+                                                        tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset=SYNTH\n{key}={value}\n", encoding="utf-8")
+    code = main(["train", "--config", str(cfg), "--data-dir", data_dir,
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:2: bad value for {key}: invalid choice {value!r}" in err
+    assert not os.path.exists(tmp_path / "x")
+
+
+def test_parse_config_accepts_every_choice():
+    for mode in ("none", "raw"):
+        assert parse_config_text(f"residual={mode}\n") == {"residual": mode}
+    for strategy in Strategy:
+        assert config_from_text(f"strategy={strategy.value}\n").strategy == strategy.value
+
+
+# ----------------------------------------------------------------------
+# one source of truth for defaults
+
+
+# RunConfig key -> the (class, field) it sets, written out independently
+# of the key table in segbert.cli
+OWNED_KEYS = {"residual": (ModelConfig, "residual_mode"),
+              "hidden": (ModelConfig, "hidden_dim"),
+              "heads": (ModelConfig, "head_count"),
+              "layers": (ModelConfig, "layer_count"),
+              "intermediate": (ModelConfig, "intermediate_dim"),
+              "dropout_hidden": (ModelConfig, "dropout_hidden"),
+              "dropout_attn": (ModelConfig, "dropout_attention"),
+              "wl_iterations": (ModelConfig, "wl_iterations"),
+              "weight_decay": (TrainConfig, "weight_decay"),
+              "epochs": (TrainConfig, "epochs"),
+              "patience": (TrainConfig, "early_stop_patience"),
+              "batch_size": (TrainConfig, "batch_size"),
+              "seed": (TrainConfig, "seed"),
+              "pretrain_epochs": (TrainConfig, "pretrain_epochs"),
+              "grad_clip": (TrainConfig, "grad_clip")}
+
+
+def test_run_config_keys_default_to_their_owner_fields():
+    cfg = RunConfig()
+    for key, (owner, name) in OWNED_KEYS.items():
+        assert getattr(cfg, key) == getattr(owner(), name), key
+
+
+@pytest.mark.parametrize("name", ["SYNTH", "PTC_MR"])
+def test_cli_and_api_defaults_build_identical_configs(name, data_dir):
+    ds = load_tu_dataset(os.path.join(data_dir, "SYNTH"), "SYNTH")
+    plan, model_cfg, train_cfg = build_configs(RunConfig(dataset=name), ds)
+    assert plan == resolve_plan(ds, Strategy.SEGMENT_SHIFTING, None)
+    assert model_cfg == config_for(ds, plan)
+    assert train_cfg == TrainConfig(learning_rate=default_learning_rate(name))
+
+
+def test_build_configs_sets_every_owned_field(data_dir):
+    ds = load_tu_dataset(os.path.join(data_dir, "SYNTH"), "SYNTH")
+    cfg = RunConfig(dataset="SYNTH", strategy="padding-pruning", k=8,
+                    residual="raw", hidden=12, heads=3, layers=1,
+                    intermediate=5, dropout_hidden=0.25, dropout_attn=0.125,
+                    wl_iterations=0, lr=0.003, weight_decay=0.01, epochs=7,
+                    patience=3, batch_size=4, seed=9, pretrain="structure",
+                    pretrain_epochs=2, grad_clip=0.5)
+    plan, model_cfg, train_cfg = build_configs(cfg, ds)
+    assert (plan.strategy, plan.k) == (Strategy.PADDING_PRUNING, 8)
+    for key, (owner, name) in OWNED_KEYS.items():
+        built = model_cfg if owner is ModelConfig else train_cfg
+        assert getattr(built, name) == getattr(cfg, key), key
+    assert train_cfg.learning_rate == 0.003
+    assert train_cfg.pretrain_tasks == ("structure",)
 
 
 # ----------------------------------------------------------------------
@@ -168,6 +252,19 @@ def test_train_with_pretraining(data_dir, tmp_path):
                  "--pretrain-epochs", "1"] + TINY_FLAGS)
     assert code == 0
     assert os.path.exists(os.path.join(out, "summary.csv"))
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--wl-iterations", "-3", "wl_iterations must be non-negative, got -3"),
+    ("--jobs", "-2", "jobs must be at least 1, got -2"),
+    ("--jobs", "0", "jobs must be at least 1, got 0"),
+])
+def test_train_rejects_out_of_range_counts_exit_1(flag, value, message,
+                                                  data_dir, tmp_path, capsys):
+    code = main(["train", "--dataset", "SYNTH", "--data-dir", data_dir,
+                 "--out", str(tmp_path / "x"), flag, value] + TINY_FLAGS)
+    assert code == 1
+    assert message in capsys.readouterr().err
 
 
 def test_train_bad_pretrain_task_exit_1(data_dir, tmp_path, capsys):

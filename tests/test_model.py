@@ -100,6 +100,12 @@ def test_config_validation_errors():
         tiny_config(dropout_attention=1.0)
 
 
+def test_config_rejects_negative_wl_iterations():
+    assert tiny_config(wl_iterations=0).wl_iterations == 0
+    with pytest.raises(ValueError, match="wl_iterations must be non-negative, got -3"):
+        tiny_config(wl_iterations=-3)
+
+
 def test_config_for_derives_dataset_fields():
     ds = synth_dataset(count=12, seed=0, with_tags=True)
     plan = resolve_plan(ds, Strategy.SEGMENT_SHIFTING, override=4)

@@ -279,6 +279,13 @@ def test_parallel_folds_match_sequential(tmp_path):
         [r.chosen_epoch for r in par.folds]
 
 
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_run_cv_rejects_fewer_than_one_job(jobs):
+    ds, plan, config, _ = tiny_setup()
+    with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+        run_cv(ds, plan, config, cheap_train_cfg(), jobs=jobs)
+
+
 def test_run_cv_fold_failure_names_the_fold(monkeypatch):
     ds, plan, config, _ = tiny_setup()
     import segbert.training as training
