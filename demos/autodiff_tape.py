@@ -3,20 +3,23 @@
 The engine records every op into a linear tape; backward() replays the
 tape once in reverse. Here we fit y = X w by gradient descent with the
 same Adam optimizer the model training uses, then verify one gradient
-against finite differences by hand.
+against finite differences by hand. As in the model, w lives in a
+ModelParams: its value and gradient are views into one flat value
+vector and one flat gradient vector, which Adam updates as a whole.
 """
 
 import numpy as np
 
-from segbert import AdamState, Tape, Tensor, adam_step
+from segbert import AdamState, ModelParams, Tape, adam_step
 
 rng = np.random.default_rng(0)
 X = rng.normal(size=(20, 3))
 true_w = np.array([[1.5], [-2.0], [0.25]])
 y = X @ true_w + 0.01 * rng.normal(size=(20, 1))
 
-w = Tensor(np.zeros((3, 1)), requires_grad=True, name="w")
-state = AdamState.for_params([w], learning_rate=0.05)
+params = ModelParams({"w": (3, 1)})  # one 3 x 1 tensor, zeroed
+w = params["w"]
+state = AdamState.for_params(params.values, learning_rate=0.05)
 
 print("step  loss")
 for step in range(60):
@@ -26,8 +29,8 @@ for step in range(60):
     tape.backward(loss)
     if step % 10 == 0:
         print(f"{step:4d}  {float(loss.value[0, 0]):.6f}")
-    adam_step([w], [w.grad], state)
-    w.grad = None
+    adam_step(params.values, params.grads, state)
+    params.zero_grads()
 
 print("\nfitted w:", np.round(w.value.ravel(), 3))
 print("true   w:", true_w.ravel())

@@ -18,8 +18,9 @@ ones for per-segment attention), broadcasting add/multiply, scaling,
 row-wise softmax and layer norm, GELU and ReLU, inverted dropout, row
 gathering, column slicing and concatenation, row means, row-pair
 cosine similarity, and the two loss reductions (mean squared error,
-softmax cross-entropy). Adam with decoupled weight decay lives here
-too since it updates the same tensors.
+softmax cross-entropy). Adam with decoupled weight decay and global-norm
+clipping live here too; both update a model's flat value and gradient
+vectors, of which its parameter tensors' values and grads are views.
 
 Each op, fused or not, checks its output for NaN and Inf and raises
 ``NonFiniteError`` naming itself.
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -91,11 +92,8 @@ class Tensor:
     def shape(self) -> tuple[int, int]:
         return self.value.shape
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray, shared: bool = False) -> None:
-        """Add ``g`` to the gradient; the first ``g`` becomes the buffer.
+        """Add ``g`` to the gradient buffer; with none set, ``g`` becomes it.
 
         Pass ``shared=True`` when ``g`` is still held elsewhere (an
         upstream gradient passed through unchanged, or a view of one):
@@ -801,65 +799,58 @@ class Tape:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus a shared step counter."""
+    """First/second moments shaped like the parameters, and a step counter."""
 
     learning_rate: float
+    m: np.ndarray
+    v: np.ndarray
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.0
     step_count: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params: Sequence[Tensor], learning_rate: float,
-                   weight_decay: float = 0.0, beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        state = cls(learning_rate=learning_rate, beta1=beta1, beta2=beta2,
-                    eps=eps, weight_decay=weight_decay)
-        state.m = [np.zeros_like(p.value) for p in params]
-        state.v = [np.zeros_like(p.value) for p in params]
-        return state
+    def for_params(cls, values: np.ndarray, learning_rate: float,
+                   weight_decay: float = 0.0) -> "AdamState":
+        """Zero moments for the parameter array ``values``."""
+        return cls(learning_rate, np.zeros_like(values), np.zeros_like(values),
+                   weight_decay=weight_decay)
 
 
-def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
-              state: AdamState) -> None:
-    """One in-place Adam update with decoupled weight decay.
+def adam_step(value: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One in-place Adam update of ``value`` with decoupled weight decay.
 
     The decay term multiplies parameters by (1 - lr * wd) before the
-    moment-based update, so decay never leaks into the moments.
-    """
-    if len(params) != len(state.m) or len(grads) != len(params):
+    moment-based update, so decay never leaks into the moments. It is
+    elementwise: one flat vector updates bit for bit like its tensors."""
+    if grad.shape != value.shape or state.m.shape != value.shape:
         raise ShapeError(
-            f"adam_step: got {len(params)} params, {len(grads)} grads, "
-            f"state holds {len(state.m)}")
+            f"adam_step: value {value.shape}, grad {grad.shape} and "
+            f"state {state.m.shape} differ in shape")
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     lr = state.learning_rate
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.value.shape:
-            raise ShapeError(
-                f"adam_step: grad shape {g.shape} does not match param {p.value.shape}")
-        if state.weight_decay:
-            p.value *= 1.0 - lr * state.weight_decay
-        m = state.m[i]
-        v = state.v[i]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.value -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    if state.weight_decay:
+        value *= 1.0 - lr * state.weight_decay
+    state.m *= b1
+    state.m += (1.0 - b1) * grad
+    state.v *= b2
+    state.v += (1.0 - b2) * (grad * grad)
+    value -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
 
 
-def clip_global_norm(grads: Sequence[np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+def clip_global_norm(grad: np.ndarray, max_norm: float,
+                     offsets: Sequence[int]) -> float:
+    """Scale the flat gradient in place so its L2 norm is at most max_norm;
+    returns the norm. Squares are summed per tensor slice (``offsets``),
+    in order, as one sum over the whole vector would round differently."""
+    squares = grad * grad
+    total = np.sqrt(sum(float(np.sum(squares[lo:hi]))
+                        for lo, hi in zip(offsets, offsets[1:])))
     if total > max_norm and total > 0.0:
-        factor = max_norm / total
-        for g in grads:
-            g *= factor
+        grad *= max_norm / total
     return total

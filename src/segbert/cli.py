@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, fields, replace
 
 from .dataset import DatasetError, GraphDataset, load_tu_dataset
 from .gradcheck import model_gradcheck
-from .model import RESIDUAL_MODES, ModelConfig, config_for, init_params, save_checkpoint
-from .training import TrainConfig, default_learning_rate, run_cv
+from .model import RESIDUAL_MODES, ModelConfig, ModelParams, config_for, save_checkpoint
+from .training import TrainConfig, check_jobs, default_learning_rate, run_cv
 from .unify import Strategy, resolve_plan
 
 __all__ = ["RunConfig", "build_configs", "main", "cmd_train", "cmd_inspect", "cmd_gradcheck"]
@@ -205,6 +205,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     dataset, directory = _load(cfg)
     plan, model_cfg, train_cfg = build_configs(cfg, dataset)
+    check_jobs(cfg.jobs)
     out_dir = cfg.out or os.path.join("runs", cfg.dataset)
     resolved = replace(cfg, data_dir=directory, k=plan.k, lr=train_cfg.learning_rate,
                        out=out_dir, strategy=plan.strategy.value)
@@ -218,10 +219,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if cfg.checkpoint:
         best = min(summary.folds,
                    key=lambda r: (-r.best_val_accuracy, r.fold_index))
-        params = init_params(model_cfg, seed=0)
-        for name, tensor in params.items():
-            tensor.value[...] = best.final_values[name]
-        save_checkpoint(params, cfg.checkpoint)
+        save_checkpoint(ModelParams.from_arrays(best.final_values), cfg.checkpoint)
         print(f"checkpoint (fold {best.fold_index}) -> {cfg.checkpoint}")
 
     print(f"{summary.dataset} {summary.strategy} k={summary.k} "

@@ -59,6 +59,8 @@ def dataset_wl_codes(graphs: Sequence[GraphInstance],
     is still adopted, leaves its class count (so its partition) unchanged.
     Final colors are numbered 0..C-1 in order of first appearance.
     """
+    if iterations < 0:
+        raise ValueError(f"iterations must be non-negative, got {iterations}")
     if not graphs:
         return []
     sizes = [g.node_count for g in graphs]
@@ -77,7 +79,7 @@ def dataset_wl_codes(graphs: Sequence[GraphInstance],
     live = list(range(len(graphs)))  # graphs still refining
     nodes = slice(None)  # their nodes, in graph order
     ends = (degrees.cumsum() * 8).tolist()  # byte ends of their multisets
-    for r in range(max(int(iterations), 0)):
+    for r in range(int(iterations)):
         # one sort groups each node's neighbor colors, in order; a
         # node's multiset is then one slice of the bytes
         key = np.sort(owner * span + colors[neighbor])

@@ -135,25 +135,22 @@ def finite_difference_check(params: ModelParams, run_loss, step: float = DEFAULT
     params.zero_grads()
     tape = Tape(seed=0)
     tape.backward(run_loss(tape))
-    analytic = {name: t.grad.copy() if t.grad is not None else np.zeros_like(t.value)
-                for name, t in params.items()}
+    analytic = params.grads.copy()
 
     def loss_value() -> float:
         return float(run_loss(Tape(seed=0)).value[0, 0])
 
-    errors = {}
-    for name, t in params.items():
-        numeric = np.zeros_like(t.value)
-        it = np.nditer(t.value, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = t.value[idx]
-            t.value[idx] = orig + step
-            hi = loss_value()
-            t.value[idx] = orig - step
-            lo = loss_value()
-            t.value[idx] = orig
-            numeric[idx] = (hi - lo) / (2.0 * step)
-            it.iternext()
-        errors[name] = relative_error(analytic[name], numeric)
+    values = params.values
+    numeric = np.empty_like(values)
+    for i in range(values.size):
+        orig = values[i]
+        values[i] = orig + step
+        hi = loss_value()
+        values[i] = orig - step
+        lo = loss_value()
+        values[i] = orig
+        numeric[i] = (hi - lo) / (2.0 * step)
+    bounds = zip(params.names(), params.offsets, params.offsets[1:])
+    errors = {name: relative_error(analytic[lo:hi], numeric[lo:hi])
+              for name, lo, hi in bounds}
     return GradCheckReport(errors=errors, tolerance=tolerance)

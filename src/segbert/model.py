@@ -30,6 +30,7 @@ O(slots x n_adj).
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -139,10 +140,30 @@ def config_for(dataset: GraphDataset, plan: UnifyPlan, **overrides) -> ModelConf
 
 
 class ModelParams:
-    """Named parameter tensors in a stable order."""
+    """Named parameter tensors in a stable order, held in two flat float64
+    arenas: tensor i's ``value`` and ``grad`` are 2-D views of the slice
+    ``offsets[i]:offsets[i + 1]`` of ``values`` and ``grads``. Never rebind them."""
 
-    def __init__(self, tensors):
-        self._tensors: dict[str, Tensor] = dict(tensors)
+    def __init__(self, shapes):
+        """Zeroed arenas for a name -> (rows, cols) mapping."""
+        self.offsets = offsets = [0, *itertools.accumulate(r * c for r, c in shapes.values())]
+        self.values = np.zeros(offsets[-1])
+        self.grads = np.zeros(offsets[-1])
+        self._tensors: dict[str, Tensor] = {}
+        for (name, shape), lo, hi in zip(shapes.items(), offsets, offsets[1:]):
+            t = self._tensors[name] = Tensor(self.values[lo:hi].reshape(shape), True, name)
+            t.grad = self.grads[lo:hi].reshape(shape)
+
+    @classmethod
+    def from_arrays(cls, arrays) -> "ModelParams":
+        """Arenas holding a copy of a name -> 2-D array mapping."""
+        params = cls({name: a.shape for name, a in arrays.items()})
+        np.concatenate(list(arrays.values()), axis=None, out=params.values)
+        return params
+
+    def __reduce__(self):
+        # unpickling (in worker processes) rebuilds the arenas and views
+        return ModelParams.from_arrays, ({name: t.value for name, t in self.items()},)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
@@ -156,53 +177,36 @@ class ModelParams:
     def items(self):
         return self._tensors.items()
 
-    def parameters(self) -> list:
-        return list(self._tensors.values())
-
     def zero_grads(self) -> None:
-        for t in self._tensors.values():
-            t.grad = None
+        self.grads.fill(0.0)
 
     def copy(self) -> "ModelParams":
-        out = {}
-        for name, t in self._tensors.items():
-            c = Tensor(t.value.copy(), requires_grad=True, name=name)
-            out[name] = c
-        return ModelParams(out)
-
-    def load_values(self, other: "ModelParams") -> None:
-        if self.names() != other.names():
-            raise ValueError("parameter name sets differ")
-        for name, t in self._tensors.items():
-            t.value[...] = other[name].value
+        return ModelParams.from_arrays({name: t.value for name, t in self.items()})
 
 
-def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02,
-                  bound: float = 2.0) -> np.ndarray:
-    out = rng.standard_normal(shape)
+def _trunc_normal(rng: np.random.Generator, target: np.ndarray, std: float = 0.02,
+                  bound: float = 2.0) -> None:
+    out = rng.standard_normal(target.shape)
     bad = np.abs(out) > bound
     count = np.count_nonzero(bad)
     while count:
         out[bad] = rng.standard_normal(count)
         bad = np.abs(out) > bound
         count = np.count_nonzero(bad)
-    return out * std
+    np.multiply(out, std, out=target)
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     """Truncated-normal weights (std 0.02, cut at two sigma), zero
     biases, unit layer-norm gains."""
-    rng = np.random.default_rng(seed)
     d = config.hidden_dim
-    tensors: dict[str, Tensor] = {}
+    shapes, fills = {}, {}  # name -> (rows, cols); name -> constant, unless drawn
 
     def weight(name, rows, cols):
-        tensors[name] = Tensor(_trunc_normal(rng, (rows, cols)),
-                               requires_grad=True, name=name)
+        shapes[name] = (rows, cols)
 
     def bias(name, cols, value=0.0):
-        tensors[name] = Tensor(np.zeros((1, cols)) + value,
-                               requires_grad=True, name=name)
+        shapes[name], fills[name] = (1, cols), value
 
     weight("adj_embed.fc1.weight", config.n_adj, d)
     bias("adj_embed.fc1.bias", d)
@@ -230,7 +234,15 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     bias("classifier.bias", config.class_count)
     weight("reconstruct.weight", d, config.raw_width)
     bias("reconstruct.bias", config.raw_width)
-    return ModelParams(tensors)
+    # the arenas start at zero; weights are drawn in parameter order
+    params = ModelParams(shapes)
+    rng = np.random.default_rng(seed)
+    for name, t in params.items():
+        if name not in fills:
+            _trunc_normal(rng, t.value)
+        elif fills[name]:
+            t.value.fill(fills[name])
+    return params
 
 
 # ----------------------------------------------------------------------
@@ -504,8 +516,10 @@ def load_checkpoint(path: str) -> ModelParams:
     version, count = struct.unpack_from("<II", blob, 4)
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    if count == 0:
+        raise ValueError(f"{path}: checkpoint holds no tensors")
     offset = 12
-    tensors: dict[str, Tensor] = {}
+    arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         if offset + 12 > len(blob):
             raise ValueError(f"{path}: truncated checkpoint header")
@@ -513,12 +527,13 @@ def load_checkpoint(path: str) -> ModelParams:
         offset += 12
         name = blob[offset:offset + name_len].decode("utf-8")
         offset += name_len
+        if name in arrays:
+            raise ValueError(f"{path}: tensor {name!r} appears twice")
         nbytes = rows * cols * 8
         if offset + nbytes > len(blob):
             raise ValueError(f"{path}: truncated tensor data for {name!r}")
-        arr = np.frombuffer(blob[offset:offset + nbytes], dtype="<f8").reshape(rows, cols)
+        arrays[name] = np.frombuffer(blob[offset:offset + nbytes], dtype="<f8").reshape(rows, cols)
         offset += nbytes
-        tensors[name] = Tensor(arr.copy(), requires_grad=True, name=name)
     if offset != len(blob):
         raise ValueError(f"{path}: trailing bytes after checkpoint payload")
-    return ModelParams(tensors)
+    return ModelParams.from_arrays(arrays)

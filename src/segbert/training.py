@@ -45,6 +45,7 @@ __all__ = [
     "PRETRAIN_TASKS",
     "RunSummary",
     "TrainConfig",
+    "check_jobs",
     "default_learning_rate",
     "evaluate_accuracy",
     "finetune_fold",
@@ -161,18 +162,12 @@ def _pretrain_streams(seed: int):
 # shared epoch machinery
 
 
-def _ordered_grads(params: ModelParams) -> list:
-    return [t.grad if t.grad is not None else np.zeros_like(t.value)
-            for _, t in params.items()]
-
-
 def _optimize_batch(tape: Tape, params: ModelParams, loss, state: AdamState,
                     grad_clip: float | None) -> None:
     tape.backward(loss)
-    grads = _ordered_grads(params)
     if grad_clip is not None:
-        clip_global_norm(grads, grad_clip)
-    adam_step(params.parameters(), grads, state)
+        clip_global_norm(params.grads, grad_clip, params.offsets)
+    adam_step(params.values, params.grads, state)
     params.zero_grads()
 
 
@@ -269,8 +264,7 @@ def pretrain(dataset: GraphDataset, plan: UnifyPlan, config: ModelConfig,
         inputs = prepare_dataset(dataset, plan, config)
     init_seed, rng, tape_seed = _pretrain_streams(train_cfg.seed)
     params = init.copy() if init is not None else init_params(config, seed=init_seed)
-    state = AdamState.for_params(params.parameters(),
-                                 train_cfg.learning_rate,
+    state = AdamState.for_params(params.values, train_cfg.learning_rate,
                                  train_cfg.weight_decay)
     tape = Tape(seed=tape_seed)
     indices = np.arange(len(inputs))
@@ -314,15 +308,14 @@ def finetune_fold(inputs: list, split: FoldSplit, config: ModelConfig,
             warnings.warn(f"class {c} absent from training split "
                           f"of fold {fold_index}")
 
-    state = AdamState.for_params(params.parameters(),
-                                 train_cfg.learning_rate,
+    state = AdamState.for_params(params.values, train_cfg.learning_rate,
                                  train_cfg.weight_decay)
     tape = Tape(seed=tape_seed)
 
     history = []
     best_val = -1.0
     best_epoch = 0
-    best_params = params.copy()
+    best_values = params.values.copy()
     stale = 0
     for epoch in range(1, train_cfg.epochs + 1):
         train_loss, train_acc = _run_epoch(
@@ -335,7 +328,7 @@ def finetune_fold(inputs: list, split: FoldSplit, config: ModelConfig,
         if val_acc > best_val:
             best_val = val_acc
             best_epoch = epoch
-            best_params = params.copy()
+            best_values = params.values.copy()
             stale = 0
         else:
             stale += 1
@@ -344,10 +337,9 @@ def finetune_fold(inputs: list, split: FoldSplit, config: ModelConfig,
 
     # the validation graphs join the training data for a continued run
     # of the chosen epoch budget, starting from the selected parameters
-    params = best_params
+    params.values[...] = best_values
     refit_idx = np.sort(np.concatenate([train_idx, val_idx]))
-    refit_state = AdamState.for_params(params.parameters(),
-                                       train_cfg.learning_rate,
+    refit_state = AdamState.for_params(params.values, train_cfg.learning_rate,
                                        train_cfg.weight_decay)
     refit_tape = Tape(seed=refit_tape_seed)
     for _epoch in range(best_epoch):
@@ -370,6 +362,12 @@ def finetune_fold(inputs: list, split: FoldSplit, config: ModelConfig,
 # cross-validation driver
 
 
+def check_jobs(jobs: int) -> None:
+    """Raise ValueError unless ``jobs`` allows at least one fold at a time."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+
+
 def _fold_job(packed):
     inputs, split, config, train_cfg, fold_index, init = packed
     return finetune_fold(inputs, split, config, train_cfg, fold_index, init)
@@ -384,8 +382,7 @@ def run_cv(dataset: GraphDataset, plan: UnifyPlan, config: ModelConfig,
     dataset and every fold starts from those parameters. ``jobs`` folds
     run at once in worker processes; 1 runs them in this process.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    check_jobs(jobs)
     inputs = prepare_dataset(dataset, plan, config)
     splits = make_folds(dataset, seed=train_cfg.seed)
     init = None

@@ -97,6 +97,17 @@ def synth_dataset(count: int = 24, seed: int = 0, with_tags: bool = True,
     )
 
 
+def assert_arena_views(params):
+    """Every tensor is a view of its own slot in the model's two arenas."""
+    for name, t in params.items():
+        assert np.shares_memory(t.value, params.values), name
+        assert np.shares_memory(t.grad, params.grads), name
+    assert np.array_equal(np.concatenate([t.value.ravel() for _, t in params.items()]),
+                          params.values)
+    assert np.array_equal(np.concatenate([t.grad.ravel() for _, t in params.items()]),
+                          params.grads)
+
+
 def real_data_dir() -> str | None:
     """Directory holding TU benchmark folders, if the user provided one."""
     for cand in (os.environ.get("SEGBERT_DATA_DIR"), "/root/pkg/data", "/root/data"):

@@ -408,19 +408,19 @@ def test_adam_matches_scalar_reference():
     rng = np.random.default_rng(12)
     grads = [float(g) for g in rng.standard_normal(25)]
     p = Tensor([[0.7]], requires_grad=True)
-    state = AdamState.for_params([p], learning_rate=0.01, weight_decay=0.004)
+    state = AdamState.for_params(p.value, learning_rate=0.01, weight_decay=0.004)
     expected = adam_reference(0.7, grads, lr=0.01, wd=0.004)
     for g, want in zip(grads, expected):
-        adam_step([p], [np.array([[g]])], state)
+        adam_step(p.value, np.array([[g]]), state)
         assert abs(p.value[0, 0] - want) < 1e-12
 
 
 def test_adam_zero_grad_zero_decay_is_noop():
     p = Tensor([[1.5, -2.5]], requires_grad=True)
     before = p.value.copy()
-    state = AdamState.for_params([p], learning_rate=0.1, weight_decay=0.0)
+    state = AdamState.for_params(p.value, learning_rate=0.1, weight_decay=0.0)
     for _ in range(3):
-        adam_step([p], [np.zeros((1, 2))], state)
+        adam_step(p.value, np.zeros((1, 2)), state)
     assert np.array_equal(p.value, before)
 
 
@@ -428,21 +428,82 @@ def test_adam_constant_gradient_approaches_lr_sign():
     p = Tensor([[0.0, 0.0]], requires_grad=True)
     g = np.array([[3.0, -0.02]])
     lr = 0.001
-    state = AdamState.for_params([p], learning_rate=lr)
+    state = AdamState.for_params(p.value, learning_rate=lr)
     prev = p.value.copy()
     for _ in range(300):
         prev = p.value.copy()
-        adam_step([p], [g], state)
+        adam_step(p.value, g, state)
     step = p.value - prev
     assert np.allclose(step, -lr * np.sign(g), rtol=1e-3, atol=1e-7)
 
 
 def test_clip_global_norm():
-    g1 = np.array([[3.0, 0.0]])
-    g2 = np.array([[0.0, 4.0]])
-    total = clip_global_norm([g1, g2], 1.0)
+    flat = np.array([3.0, 0.0, 0.0, 4.0])
+    g1, g2 = flat[:2], flat[2:]
+    total = clip_global_norm(flat, 1.0, [0, 2, 4])
     assert abs(total - 5.0) < 1e-12
     assert abs(np.sqrt(np.sum(g1 ** 2) + np.sum(g2 ** 2)) - 1.0) < 1e-12
+
+
+def _model_shapes():
+    """The tensor shapes of the default model on 25 adjacency columns."""
+    from segbert.model import ModelConfig, init_params
+    return [t.shape for _, t in init_params(ModelConfig(n_adj=25)).items()]
+
+
+def _flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def test_flat_adam_matches_per_tensor_update_bit_for_bit():
+    rng = np.random.default_rng(31)
+    lr, wd, b1, b2, eps = 1e-3, 5e-4, 0.9, 0.999, 1e-8
+    shapes = _model_shapes()
+    tensors = [rng.standard_normal(s) for s in shapes]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    flat = _flat(tensors)
+    state = AdamState.for_params(flat, learning_rate=lr, weight_decay=wd)
+    for t in range(1, 201):
+        grads = [rng.standard_normal(s) for s in shapes]
+        grads[-1][...] = 0.0  # a parameter the loss does not reach
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for p, g, mi, vi in zip(tensors, grads, m, v):
+            p *= 1.0 - lr * wd
+            mi *= b1
+            mi += (1.0 - b1) * g
+            vi *= b2
+            vi += (1.0 - b2) * (g * g)
+            p -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
+        adam_step(flat, _flat(grads), state)
+    assert np.array_equal(flat, _flat(tensors))
+    assert np.array_equal(state.m, _flat(m))
+    assert np.array_equal(state.v, _flat(v))
+
+
+def test_adam_step_rejects_mismatched_shapes():
+    state = AdamState.for_params(np.zeros(4), learning_rate=0.1)
+    with pytest.raises(ShapeError, match="differ in shape"):
+        adam_step(np.zeros(4), np.zeros(3), state)
+    with pytest.raises(ShapeError, match="differ in shape"):
+        adam_step(np.zeros(5), np.zeros(5), state)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_flat_clipping_matches_per_tensor_clipping_bit_for_bit(ratio):
+    rng = np.random.default_rng(0)
+    grads = [rng.standard_normal(s) * rng.uniform(1e-4, 1.0) for s in _model_shapes()]
+    flat = _flat(grads)
+    offsets = np.cumsum([0] + [a.size for a in grads]).tolist()
+    want = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    assert np.sqrt(np.sum(flat * flat)) != want  # one whole-vector sum rounds differently
+    max_norm = ratio * want
+    if want > max_norm:
+        for g in grads:
+            g *= max_norm / want
+    total = clip_global_norm(flat, max_norm, offsets)
+    assert total == want
+    assert np.array_equal(flat, _flat(grads))
 
 
 # ----------------------------------------------------------------------
@@ -474,7 +535,7 @@ def test_tape_reset_behaves_like_fresh_engine():
     g1 = x.grad.copy()
 
     tape.reset()
-    x.zero_grad()
+    x.grad = None
     loss2 = tape.mse(tape.relu(x), np.zeros((1, 2)))
     tape.backward(loss2)
     assert np.array_equal(x.grad, g1)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import segbert.autodiff as autodiff
+import segbert.cli as cli
 from conftest import synth_dataset
 from segbert.cli import (RunConfig, build_configs, config_from_text, main,
                          parse_config_text)
@@ -226,15 +227,28 @@ def test_train_rerun_from_echo_is_byte_identical(data_dir, tmp_path):
     assert first == second
 
 
-def test_train_writes_checkpoint(data_dir, tmp_path):
+def test_train_writes_checkpoint(data_dir, tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "out")
     ckpt = str(tmp_path / "model.bin")
+    real_run_cv, summaries = cli.run_cv, []
+
+    def run_cv(*args, **kwargs):
+        summaries.append(real_run_cv(*args, **kwargs))
+        return summaries[-1]
+
+    monkeypatch.setattr(cli, "run_cv", run_cv)
     code = main(["train", "--dataset", "SYNTH", "--data-dir", data_dir,
                  "--out", out, "--checkpoint", ckpt] + TINY_FLAGS)
     assert code == 0
     params = load_checkpoint(ckpt)
     assert "classifier.weight" in params.names()
     assert params["classifier.weight"].value.shape == (8, 2)
+    # the fold with the best validation accuracy, the lowest index on ties
+    best = min(summaries[0].folds, key=lambda r: (-r.best_val_accuracy, r.fold_index))
+    assert f"checkpoint (fold {best.fold_index})" in capsys.readouterr().out
+    assert params.names() == list(best.final_values)
+    for name, value in best.final_values.items():
+        assert np.array_equal(params[name].value, value), name
 
 
 def test_train_full_input_low_k_override_fails(data_dir, tmp_path, capsys):
@@ -265,6 +279,7 @@ def test_train_rejects_out_of_range_counts_exit_1(flag, value, message,
                  "--out", str(tmp_path / "x"), flag, value] + TINY_FLAGS)
     assert code == 1
     assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "x")
 
 
 def test_train_bad_pretrain_task_exit_1(data_dir, tmp_path, capsys):

@@ -173,6 +173,17 @@ def test_wl_codes_equal_oracle_numbering(iterations):
         assert compute_wl_codes(g, iterations) == _first_appearance([row])[0]
 
 
+@pytest.mark.parametrize("iterations", [-1, -3])
+def test_wl_rejects_negative_iterations(iterations):
+    graphs = _mixed_wl_set()
+    with pytest.raises(ValueError, match=f"iterations must be non-negative, got {iterations}"):
+        dataset_wl_codes(graphs, iterations)
+    with pytest.raises(ValueError, match="non-negative"):
+        dataset_wl_codes([], iterations)
+    with pytest.raises(ValueError, match="non-negative"):
+        build_bundles(graphs[0], n_adj=4, wl_iterations=iterations)
+
+
 # ----------------------------------------------------------------------
 # sinusoid embedding
 

@@ -1,5 +1,8 @@
 """Model forward passes, embeddings, heads, checkpoints."""
 
+import pickle
+import struct
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -29,7 +32,7 @@ from segbert.model import (
 )
 from segbert.unify import Strategy, UnifyPlan, resolve_plan
 
-from conftest import attach_tags, cycle_graph, path_graph, synth_dataset
+from conftest import assert_arena_views, attach_tags, cycle_graph, path_graph, synth_dataset
 
 
 def tiny_config(**kw):
@@ -278,7 +281,7 @@ def test_fused_layer_matches_primitive_composition(heads, residual):
         for layer in range(cfg.layer_count):
             out = layer_fn(tape, params, cfg, out, layer, True, res)
         tape.backward(tape.mse(tape.mul(out, proj), np.zeros_like(proj)))
-        grads = {name: t.grad for name, t in params.items() if t.grad is not None}
+        grads = {name: t.grad for name, t in params.items() if name.startswith("layers.")}
         grads["h"] = h.grad
         if residual:
             grads["res"] = res.grad
@@ -503,3 +506,54 @@ def test_params_copy_is_independent():
     clone = params.copy()
     clone["classifier.weight"].value[:] = 0.0
     assert not np.allclose(params["classifier.weight"].value, 0.0)
+
+
+def test_params_stay_views_of_their_arenas(tmp_path):
+    params = init_params(tiny_config(attr_dim=2, residual_mode="raw"), seed=23)
+    assert_arena_views(params)
+    assert params.offsets[-1] == params.values.size == params.grads.size
+    clone = params.copy()
+    assert_arena_views(clone)
+    assert not np.shares_memory(clone.values, params.values)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(params, path)
+    loaded = load_checkpoint(path)
+    assert_arena_views(loaded)
+    assert np.array_equal(loaded.values, params.values)
+    shipped = pickle.loads(pickle.dumps(params))
+    assert_arena_views(shipped)
+    assert shipped.names() == params.names()
+    assert np.array_equal(shipped.values, params.values)
+    params["classifier.weight"].grad[...] = 1.0
+    params.zero_grads()
+    assert_arena_views(params)
+    assert not params.grads.any()
+
+
+def _checkpoint_blob(entries):
+    """Checkpoint bytes built by hand from (name, 2-D array) pairs."""
+    blob = b"SGBT" + struct.pack("<II", 1, len(entries))
+    for name, arr in entries:
+        encoded = name.encode("utf-8")
+        blob += struct.pack("<III", len(encoded), *arr.shape) + encoded
+        blob += arr.astype("<f8").tobytes()
+    return blob
+
+
+def test_checkpoint_rejects_repeated_tensor_name(tmp_path):
+    entries = [("w", np.ones((2, 3))), ("b", np.zeros((1, 3)))]
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(_checkpoint_blob(entries))
+    assert np.array_equal(load_checkpoint(str(path)).values, [1, 1, 1, 1, 1, 1, 0, 0, 0])
+    path.write_bytes(_checkpoint_blob(entries + [("w", np.zeros((2, 3)))]))
+    with pytest.raises(ValueError, match="'w' appears twice") as err:
+        load_checkpoint(str(path))
+    assert str(path) in str(err.value)
+
+
+def test_checkpoint_rejects_zero_tensors(tmp_path):
+    path = tmp_path / "empty.ckpt"
+    path.write_bytes(_checkpoint_blob([]))
+    with pytest.raises(ValueError, match="holds no tensors") as err:
+        load_checkpoint(str(path))
+    assert str(path) in str(err.value)

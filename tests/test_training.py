@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from conftest import synth_dataset
+import segbert.training as training
+from conftest import assert_arena_views, synth_dataset
 from segbert.autodiff import Tape
 from segbert.dataset import FoldSplit, make_folds
 from segbert.features import build_bundles
@@ -211,6 +212,45 @@ def test_early_stopping_respects_patience():
     chosen = [s for s in report.epochs if s.val_acc == best][0]
     assert chosen.epoch == report.chosen_epoch
     assert report.best_val_accuracy == best
+
+
+def test_training_writes_into_the_parameter_arenas(monkeypatch):
+    """Training steps, the early-stop restore and the refit all write
+    into the arenas: every parameter stays a view, and the refit starts
+    from the values of the chosen epoch."""
+    ds, plan, config, inputs = tiny_setup()
+    epoch_starts, evaluated = [], []
+    real_epoch, real_eval = training._run_epoch, training.evaluate_accuracy
+
+    def run_epoch(params, *args):
+        assert_arena_views(params)
+        epoch_starts.append(params.values.copy())
+        return real_epoch(params, *args)
+
+    def evaluate(params, *args):
+        assert_arena_views(params)
+        assert not params.grads.any()
+        evaluated.append(params.values.copy())
+        return real_eval(params, *args)
+
+    monkeypatch.setattr(training, "_run_epoch", run_epoch)
+    monkeypatch.setattr(training, "evaluate_accuracy", evaluate)
+    split = FoldSplit(train=list(range(8)), val=[8, 9], test=[10, 11])
+    report = finetune_fold(inputs, split, config,
+                           TrainConfig(epochs=40, early_stop_patience=2, seed=4))
+    trained = len(report.epochs)
+    assert report.chosen_epoch < trained  # so the restore moves the values
+    assert len(epoch_starts) == trained + report.chosen_epoch
+    # each epoch evaluates validation, then test
+    assert np.array_equal(epoch_starts[trained], evaluated[2 * report.chosen_epoch - 2])
+    assert not np.array_equal(epoch_starts[trained], evaluated[2 * trained - 1])
+    final = np.concatenate([v.ravel() for v in report.final_values.values()])
+    assert np.array_equal(final, evaluated[-1])
+
+    pretrained = pretrain(ds, plan, config,
+                          TrainConfig(pretrain_tasks=("structure",), pretrain_epochs=1),
+                          inputs=inputs)
+    assert_arena_views(pretrained)
 
 
 def test_evaluate_accuracy_matches_labels():
