@@ -2,9 +2,10 @@
 
 Node colors start from degrees (or tags when present) and are refined
 by hashing each node's color together with its sorted neighbor colors.
-A shared dictionary across graphs makes codes comparable between
-graphs: two nodes get the same code exactly when their refinement
-trees match.
+The whole collection is refined as one disjoint union with a shared
+dictionary, so every graph goes through the same rounds and codes
+compare across graphs: equal codes <=> equal refinement trees of one
+depth, whichever graph a node sits in.
 """
 
 from segbert import GraphInstance, dataset_wl_codes
@@ -42,3 +43,9 @@ plain = GraphInstance(node_count=3, edges=sym([(0, 1), (1, 2)]))
 t_codes, p_codes = dataset_wl_codes([tagged, plain], iterations=0)
 print(f"  uniform tags  -> one initial class:   {t_codes}")
 print(f"  degrees       -> ends vs middle:      {p_codes}")
+
+print("\nA P3 on its own and a P3 beside a P4 in one graph get equal codes:")
+p3p4 = GraphInstance(node_count=7, edges=sym([(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)]))
+alone, joined = dataset_wl_codes([path, p3p4], iterations=2)
+print(f"  P3 alone          {alone}")
+print(f"  P3 beside a P4    {joined[:3]}   (P4 part {joined[3:]})")

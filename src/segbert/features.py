@@ -52,19 +52,21 @@ def dataset_wl_codes(graphs: Sequence[GraphInstance],
                      iterations: int = DEFAULT_WL_ITERATIONS) -> list:
     """WL codes for a whole collection under one shared dictionary.
 
-    A node starts from its tag, or its degree when the graph has no
-    tags. Each round recolors the nodes of still-refining graphs by
-    signature (own color, sorted multiset of neighbor colors) through
-    one table shared by all graphs. A graph stops once a round, which
-    is still adopted, leaves its class count (so its partition) unchanged.
-    Final colors are numbered 0..C-1 in order of first appearance.
+    The collection is refined as one disjoint union, so every graph
+    goes through the same rounds. A node starts from its tag, or its
+    degree when the graph has no tags. Each round recolors every node
+    by signature (own color, sorted multiset of neighbor colors)
+    through a fresh table built in node order. Refinement stops after
+    ``iterations`` rounds, or sooner once a round leaves the number of
+    colors, and so the joint partition, unchanged. Codes are 0..C-1 in
+    order of first appearance; two nodes, in one graph or in two, share
+    a code exactly when their refinement trees of that depth are equal.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations}")
     if not graphs:
         return []
-    sizes = [g.node_count for g in graphs]
-    bounds = [0, *itertools.accumulate(sizes)]
+    bounds = [0, *itertools.accumulate(g.node_count for g in graphs)]
     per_graph = [compute_degrees(g) for g in graphs]
     degrees = np.concatenate(per_graph)
     owner = np.arange(bounds[-1]).repeat(degrees)
@@ -73,45 +75,18 @@ def dataset_wl_codes(graphs: Sequence[GraphInstance],
                            for g, d in zip(graphs, per_graph)])
     table: dict = {}
     flat = [table.setdefault(v, len(table)) for v in init.tolist()]
-    colors = np.array(flat, dtype=np.int64)
-    span = len(table)  # colors lie in 0..span-1
-    counts = [len(set(flat[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
-    live = list(range(len(graphs)))  # graphs still refining
-    nodes = slice(None)  # their nodes, in graph order
-    ends = (degrees.cumsum() * 8).tolist()  # byte ends of their multisets
-    for r in range(int(iterations)):
+    ends = (degrees.cumsum() * 8).tolist()  # byte ends of the multisets
+    for _ in range(int(iterations)):
+        span = len(table)  # colors lie in 0..span-1
         # one sort groups each node's neighbor colors, in order; a
         # node's multiset is then one slice of the bytes
-        key = np.sort(owner * span + colors[neighbor])
+        key = np.sort(owner * span + np.array(flat, dtype=np.int64)[neighbor])
         multisets = (key % span).tobytes()
         table = {}
-        fresh = [table.setdefault((c, multisets[lo:hi]), len(table))
-                 for c, lo, hi in zip(colors[nodes].tolist(), [0, *ends], ends)]
-        colors[nodes] = np.array(fresh, dtype=np.int64) + span
-        span += len(table)
-        if r == int(iterations) - 1:
+        flat = [table.setdefault((c, multisets[lo:hi]), len(table))
+                for c, lo, hi in zip(flat, [0, *ends], ends)]
+        if len(table) == span:  # refinement never merges: stable
             break
-        still, lo = [], 0
-        for g in live:
-            hi = lo + sizes[g]
-            count = len(set(fresh[lo:hi]))
-            if count != counts[g]:
-                still.append(g)
-                counts[g] = count
-            lo = hi
-        if len(still) < len(live):
-            live = still
-            keep = np.zeros(len(graphs), dtype=bool)
-            keep[live] = True
-            keep = keep.repeat(sizes)
-            arcs = keep[owner]
-            owner, neighbor = owner[arcs], neighbor[arcs]
-            nodes = np.flatnonzero(keep)
-            ends = (degrees[nodes].cumsum() * 8).tolist()
-            if not live:
-                break
-    table = {}
-    flat = [table.setdefault(c, len(table)) for c in colors.tolist()]
     return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 

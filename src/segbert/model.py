@@ -513,6 +513,8 @@ def load_checkpoint(path: str) -> ModelParams:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise ValueError(f"{path}: not a model checkpoint (bad magic)")
+    if len(blob) < 12:
+        raise ValueError(f"{path}: truncated checkpoint header")
     version, count = struct.unpack_from("<II", blob, 4)
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")

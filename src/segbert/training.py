@@ -149,15 +149,6 @@ def _fold_streams(seed: int, fold: int):
     return init_seed, shuffle_rng, tape_seed, refit_rng, refit_tape_seed
 
 
-def _pretrain_streams(seed: int):
-    # fold ids run 0..9; 10 is reserved for the shared pre-training pass
-    children = np.random.SeedSequence([seed, 10]).spawn(3)
-    init_seed = int(children[0].generate_state(1)[0])
-    shuffle_rng = np.random.default_rng(children[1])
-    tape_seed = int(children[2].generate_state(1)[0])
-    return init_seed, shuffle_rng, tape_seed
-
-
 # ----------------------------------------------------------------------
 # shared epoch machinery
 
@@ -262,7 +253,8 @@ def pretrain(dataset: GraphDataset, plan: UnifyPlan, config: ModelConfig,
             "this dataset has none (use the structure task only)")
     if inputs is None:
         inputs = prepare_dataset(dataset, plan, config)
-    init_seed, rng, tape_seed = _pretrain_streams(train_cfg.seed)
+    # fold ids run 0..9; 10 is reserved for the shared pre-training pass
+    init_seed, rng, tape_seed = _fold_streams(train_cfg.seed, 10)[:3]
     params = init.copy() if init is not None else init_params(config, seed=init_seed)
     state = AdamState.for_params(params.values, train_cfg.learning_rate,
                                  train_cfg.weight_decay)

@@ -152,7 +152,7 @@ def _mixed_wl_set():
     rng = np.random.default_rng(67)
     graphs = [random_graph(rng, lo=3, hi=9) for _ in range(12)]
     graphs += [attach_tags(random_graph(rng, lo=3, hi=9)) for _ in range(6)]
-    # regular graphs stop after one round, paths and stars refine longer
+    # on their own, regular graphs stabilise after one round, paths and stars later
     graphs += [cycle_graph(6), path_graph(7), star_graph(5), attach_tags(cycle_graph(4))]
     graphs.append(GraphInstance(node_count=3, edges=[
         (0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)]))  # self-loop
@@ -165,12 +165,49 @@ def _mixed_wl_set():
 @pytest.mark.parametrize("iterations", [0, 1, 2, 3])
 def test_wl_codes_equal_oracle_numbering(iterations):
     """Exact codes, not just partitions: the oracle's tree colors numbered
-    by first appearance, on graphs that stop refining at different rounds."""
+    by first appearance, on graphs that alone would stabilise at different rounds."""
     graphs = _mixed_wl_set()
     want = _first_appearance(brute_force_wl(graphs, iterations))
     assert dataset_wl_codes(graphs, iterations) == want
     for g, row in zip(graphs, want):
         assert compute_wl_codes(g, iterations) == _first_appearance([row])[0]
+
+
+def _disjoint_union(graphs):
+    """One untagged GraphInstance holding ``graphs`` side by side, in order."""
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(i + offset, j + offset, w) for i, j, w in g.edges]
+        offset += g.node_count
+    return GraphInstance(node_count=offset, edges=edges)
+
+
+@pytest.mark.parametrize("p3_first", [True, False])
+def test_wl_component_codes_do_not_depend_on_graph_boundaries(p3_first):
+    """A P3 on its own and a P3 next to a P4 in one graph refine alike."""
+    alone, joined = path_graph(3), _disjoint_union([path_graph(3), path_graph(4)])
+    graphs = [alone, joined] if p3_first else [joined, alone]
+    codes = dict(zip(map(id, graphs), dataset_wl_codes(graphs, iterations=2)))
+    assert codes[id(alone)] == codes[id(joined)][:3]
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 3])
+def test_wl_codes_equal_codes_of_the_disjoint_union(iterations):
+    graphs = [g for g in _mixed_wl_set() if g.node_tags is None]
+    union = compute_wl_codes(_disjoint_union(graphs), iterations)
+    bounds = np.cumsum([0] + [g.node_count for g in graphs]).tolist()
+    want = [union[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    assert dataset_wl_codes(graphs, iterations) == want
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 2, 3])
+def test_wl_cross_graph_partition_ignores_graph_order(iterations):
+    graphs = _mixed_wl_set()
+    forward = dataset_wl_codes(graphs, iterations)
+    backward = dataset_wl_codes(graphs[::-1], iterations)[::-1]
+    assert backward != forward  # numbering follows order; the classes do not
+    assert (partition_of([c for row in forward for c in row])
+            == partition_of([c for row in backward for c in row]))
 
 
 @pytest.mark.parametrize("iterations", [-1, -3])

@@ -557,3 +557,12 @@ def test_checkpoint_rejects_zero_tensors(tmp_path):
     with pytest.raises(ValueError, match="holds no tensors") as err:
         load_checkpoint(str(path))
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("size", [4, 6, 11])
+def test_checkpoint_rejects_short_file_header(tmp_path, size):
+    path = tmp_path / "short.ckpt"
+    path.write_bytes(_checkpoint_blob([("w", np.ones((1, 1)))])[:size])
+    with pytest.raises(ValueError, match="truncated checkpoint header") as err:
+        load_checkpoint(str(path))
+    assert str(path) in str(err.value)
