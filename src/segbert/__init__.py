@@ -5,139 +5,61 @@ TU-format dataset handling, WL/degree/adjacency node features, three
 graph-size unification strategies, the transformer model itself, and a
 10-fold cross-validation training harness with an optional
 pre-training stage.
+
+The top level re-exports the entry points; everything else is imported
+from its module (``segbert.autodiff``, ``segbert.model``, ...).
 """
 
-from .autodiff import (
-    AdamState,
-    NonFiniteError,
-    ShapeError,
-    Tape,
-    Tensor,
-    adam_step,
-    clip_global_norm,
-)
+from .autodiff import AdamState, Tape, adam_step
 from .dataset import (
-    DatasetError,
-    FoldSplit,
     GraphDataset,
     GraphInstance,
     load_tu_dataset,
     make_folds,
-    weight_matrix,
     write_tu_dataset,
 )
-from .features import (
-    GraphFeatures,
-    build_bundles,
-    compute_degrees,
-    compute_wl_codes,
-    dataset_bundles,
-    dataset_wl_codes,
-    positional_embedding,
-    sinusoid_rows,
-)
-from .gradcheck import GradCheckReport, model_gradcheck
+from .features import build_bundles, dataset_wl_codes
+from .gradcheck import model_gradcheck
 from .model import (
-    GraphInputs,
-    GraphOutput,
     ModelConfig,
     ModelParams,
     build_batch,
-    classify_batch,
     config_for,
-    encode,
-    forward_graph,
     init_params,
     load_checkpoint,
     prepare_dataset,
     prepare_graph,
-    reconstruct_attributes,
-    recover_structure,
-    save_checkpoint,
     structure_target,
 )
-from .training import (
-    EpochStats,
-    FoldReport,
-    RunSummary,
-    TrainConfig,
-    default_learning_rate,
-    evaluate_accuracy,
-    finetune_fold,
-    pretrain,
-    run_cv,
-    write_reports,
-)
-from .unify import (
-    Segment,
-    Strategy,
-    UnifyPlan,
-    resolve_k,
-    resolve_n_adj,
-    resolve_plan,
-    segment_count,
-    unify,
-)
+from .training import TrainConfig, evaluate_accuracy, run_cv
+from .unify import Strategy, UnifyPlan, resolve_plan, unify
 
 __all__ = [
     "AdamState",
-    "DatasetError",
-    "EpochStats",
-    "FoldReport",
-    "FoldSplit",
-    "GradCheckReport",
     "GraphDataset",
-    "GraphFeatures",
-    "GraphInputs",
     "GraphInstance",
-    "GraphOutput",
     "ModelConfig",
     "ModelParams",
-    "NonFiniteError",
-    "RunSummary",
-    "Segment",
-    "ShapeError",
     "Strategy",
     "Tape",
-    "Tensor",
     "TrainConfig",
     "UnifyPlan",
     "adam_step",
     "build_batch",
     "build_bundles",
-    "classify_batch",
-    "clip_global_norm",
-    "compute_degrees",
-    "compute_wl_codes",
     "config_for",
-    "dataset_bundles",
     "dataset_wl_codes",
-    "default_learning_rate",
-    "encode",
     "evaluate_accuracy",
-    "finetune_fold",
-    "forward_graph",
     "init_params",
     "load_checkpoint",
     "load_tu_dataset",
     "make_folds",
     "model_gradcheck",
-    "positional_embedding",
     "prepare_dataset",
     "prepare_graph",
-    "pretrain",
-    "reconstruct_attributes",
-    "recover_structure",
-    "resolve_k",
-    "resolve_n_adj",
     "resolve_plan",
     "run_cv",
-    "save_checkpoint",
-    "segment_count",
-    "sinusoid_rows",
     "structure_target",
     "unify",
-    "weight_matrix",
-    "write_reports",
     "write_tu_dataset",
 ]

@@ -2,10 +2,10 @@
 
 The engine is a classic Wengert tape. Every operation runs eagerly on
 numpy values and, while recording is on, appends an entry holding the
-op name, the input tensors, the output tensor and a closure that knows
-how to push the output gradient back onto the inputs. Program order is
-a valid topological order, so ``backward`` just walks the entries once
-in reverse.
+op name, the input tensors, the output tensor and the op's gradient
+function, a function of the output gradient that pushes it back onto
+the inputs. Program order is a valid topological order, so ``backward``
+just walks the entries once in reverse.
 
 The op set is exactly what a segmented graph transformer needs. The
 model records three fused ops: ``linear`` (matrix product plus a bias
@@ -188,13 +188,18 @@ class Tape:
         return x if isinstance(x, Tensor) else Tensor(x)
 
     def _record(self, op: str, inputs: tuple[Tensor, ...], value: np.ndarray,
-                backward: Callable[[Tensor], Callable[[], None]]) -> Tensor:
+                backward: Callable[[np.ndarray], None]) -> Tensor:
+        """Wrap ``value`` as the output of ``op``; tape it while recording.
+
+        ``backward(g)`` pushes the output gradient ``g`` onto the inputs.
+        The entry holds it as a function of the output's gradient, which
+        the reverse sweep reads when it reaches the entry."""
         _check_finite(op, value)
         out = Tensor(value)
         if self.recording and any(t.requires_grad for t in inputs):
             out.requires_grad = True
             out._tape = self._ref
-            self.entries.append(TapeEntry(op, inputs, out, backward(out)))
+            self.entries.append(TapeEntry(op, inputs, out, lambda: backward(out.grad)))
         return out
 
     # ------------------------------------------------------------------
@@ -210,16 +215,13 @@ class Tape:
                 f"matmul: inner dimensions differ: {a.value.shape} vs {b.value.shape}")
         value = a.value @ b.value
 
-        def make(out: Tensor):
-            def backward():
-                g = out.grad
-                if a.requires_grad:
-                    a._accumulate(g @ b.value.T)
-                if b.requires_grad:
-                    b._accumulate(a.value.T @ g)
-            return backward
+        def backward(g):
+            if a.requires_grad:
+                a._accumulate(g @ b.value.T)
+            if b.requires_grad:
+                b._accumulate(a.value.T @ g)
 
-        return self._record("matmul", (a, b), value, make)
+        return self._record("matmul", (a, b), value, backward)
 
     def linear(self, x, w, b) -> Tensor:
         """x @ w plus the 1 x out bias row b: a dense layer as one op.
@@ -242,18 +244,15 @@ class Tape:
         value = xv @ w.value
         value += b.value
 
-        def make(out: Tensor):
-            def backward():
-                g = out.grad
-                if x is not None and x.requires_grad:
-                    x._accumulate(g @ w.value.T)
-                if w.requires_grad:
-                    w._accumulate(xv.T @ g)
-                if b.requires_grad:
-                    b._accumulate(g.sum(axis=0, keepdims=True))
-            return backward
+        def backward(g):
+            if x is not None and x.requires_grad:
+                x._accumulate(g @ w.value.T)
+            if w.requires_grad:
+                w._accumulate(xv.T @ g)
+            if b.requires_grad:
+                b._accumulate(g.sum(axis=0, keepdims=True))
 
-        return self._record("linear", inputs, value, make)
+        return self._record("linear", inputs, value, backward)
 
     def _broadcast_binary(self, op: str, a, b, fn, da_fn, db_fn) -> Tensor:
         a, b = self._coerce(a), self._coerce(b)
@@ -272,18 +271,15 @@ class Tape:
                 return g.sum(keepdims=True)
             return g.sum(axis=0, keepdims=True)
 
-        def make(out: Tensor):
-            def backward():
-                g = out.grad
-                if a.requires_grad:
-                    da = da_fn(g, a.value, b.value)
-                    a._accumulate(da, shared=da is g)
-                if b.requires_grad:
-                    db = reduce_to(b.value.shape, db_fn(g, a.value, b.value))
-                    b._accumulate(db, shared=db is g)
-            return backward
+        def backward(g):
+            if a.requires_grad:
+                da = da_fn(g, a.value, b.value)
+                a._accumulate(da, shared=da is g)
+            if b.requires_grad:
+                db = reduce_to(b.value.shape, db_fn(g, a.value, b.value))
+                b._accumulate(db, shared=db is g)
 
-        return self._record(op, (a, b), value, make)
+        return self._record(op, (a, b), value, backward)
 
     def add(self, a, b) -> Tensor:
         """Elementwise sum. ``b`` may be 1 x d (bias row) or 1 x 1."""
@@ -316,28 +312,23 @@ class Tape:
         for t in ts[1:]:
             value += t.value
 
-        def make(out: Tensor):
-            def backward():
-                g = out.grad
-                for t in ts:
-                    if t.requires_grad:
-                        t._accumulate(g, shared=True)
-            return backward
+        def backward(g):
+            for t in ts:
+                if t.requires_grad:
+                    t._accumulate(g, shared=True)
 
-        return self._record("add_n", ts, value, make)
+        return self._record("add_n", ts, value, backward)
 
     def scale(self, a, c: float) -> Tensor:
         a = self._coerce(a)
         c = float(c)
         value = a.value * c
 
-        def make(out: Tensor):
-            def backward():
-                if a.requires_grad:
-                    a._accumulate(out.grad * c)
-            return backward
+        def backward(g):
+            if a.requires_grad:
+                a._accumulate(g * c)
 
-        return self._record("scale", (a,), value, make)
+        return self._record("scale", (a,), value, backward)
 
     # ------------------------------------------------------------------
     # nonlinearities and normalization
@@ -346,15 +337,11 @@ class Tape:
         a = self._coerce(a)
         value = np.maximum(a.value, 0.0)
 
-        def make(out: Tensor):
-            mask = a.value > 0.0
+        def backward(g):
+            if a.requires_grad:
+                a._accumulate(g * (value > 0.0))
 
-            def backward():
-                if a.requires_grad:
-                    a._accumulate(out.grad * mask)
-            return backward
-
-        return self._record("relu", (a,), value, make)
+        return self._record("relu", (a,), value, backward)
 
     def gelu(self, a) -> Tensor:
         """Exact GELU, x * Phi(x) with the Gaussian CDF."""
@@ -363,14 +350,12 @@ class Tape:
         cdf = 0.5 * (1.0 + erf(x / _SQRT_2))
         value = x * cdf
 
-        def make(out: Tensor):
-            def backward():
-                if a.requires_grad:
-                    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-                    a._accumulate(out.grad * (cdf + x * pdf))
-            return backward
+        def backward(g):
+            if a.requires_grad:
+                pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+                a._accumulate(g * (cdf + x * pdf))
 
-        return self._record("gelu", (a,), value, make)
+        return self._record("gelu", (a,), value, backward)
 
     def softmax_rows(self, a) -> Tensor:
         a = self._coerce(a)
@@ -378,16 +363,12 @@ class Tape:
         e = np.exp(shifted)
         value = e / e.sum(axis=1, keepdims=True)
 
-        def make(out: Tensor):
-            def backward():
-                if a.requires_grad:
-                    y = out.value
-                    g = out.grad
-                    dot = (g * y).sum(axis=1, keepdims=True)
-                    a._accumulate(y * (g - dot))
-            return backward
+        def backward(g):
+            if a.requires_grad:
+                dot = (g * value).sum(axis=1, keepdims=True)
+                a._accumulate(value * (g - dot))
 
-        return self._record("softmax_rows", (a,), value, make)
+        return self._record("softmax_rows", (a,), value, backward)
 
     def layer_norm_rows(self, a) -> Tensor:
         """Per-row normalization to zero mean, unit variance.
@@ -398,13 +379,11 @@ class Tape:
         a = self._coerce(a)
         value, inv = _normalize_rows(a.value)
 
-        def make(out: Tensor):
-            def backward():
-                if a.requires_grad:
-                    a._accumulate(_normalize_rows_grad(out.grad, out.value, inv))
-            return backward
+        def backward(g):
+            if a.requires_grad:
+                a._accumulate(_normalize_rows_grad(g, value, inv))
 
-        return self._record("layer_norm_rows", (a,), value, make)
+        return self._record("layer_norm_rows", (a,), value, backward)
 
     def affine_layer_norm(self, x, gain, bias) -> Tensor:
         """``layer_norm_rows(x) * gain + bias`` with 1 x d gain and bias rows."""
@@ -418,18 +397,15 @@ class Tape:
         value = y * gain.value
         value += bias.value
 
-        def make(out: Tensor):
-            def backward():
-                g = out.grad
-                if bias.requires_grad:
-                    bias._accumulate(g.sum(axis=0, keepdims=True))
-                if gain.requires_grad:
-                    gain._accumulate((g * y).sum(axis=0, keepdims=True))
-                if x.requires_grad:
-                    x._accumulate(_normalize_rows_grad(g * gain.value, y, inv))
-            return backward
+        def backward(g):
+            if bias.requires_grad:
+                bias._accumulate(g.sum(axis=0, keepdims=True))
+            if gain.requires_grad:
+                gain._accumulate((g * y).sum(axis=0, keepdims=True))
+            if x.requires_grad:
+                x._accumulate(_normalize_rows_grad(g * gain.value, y, inv))
 
-        return self._record("affine_layer_norm", (x, gain, bias), value, make)
+        return self._record("affine_layer_norm", (x, gain, bias), value, backward)
 
     def dropout(self, a, rate: float, training: bool) -> Tensor:
         """Inverted dropout: kept entries are scaled by 1/(1-rate).
@@ -448,13 +424,11 @@ class Tape:
         mask = (self.rng.random(a.value.shape) >= rate) / keep
         value = a.value * mask
 
-        def make(out: Tensor):
-            def backward():
-                if a.requires_grad:
-                    a._accumulate(out.grad * mask)
-            return backward
+        def backward(g):
+            if a.requires_grad:
+                a._accumulate(g * mask)
 
-        return self._record("dropout", (a,), value, make)
+        return self._record("dropout", (a,), value, backward)
 
     # ------------------------------------------------------------------
     # structure ops
@@ -469,15 +443,13 @@ class Tape:
                 f"take_rows: index out of range for {a.value.shape[0]} rows")
         value = a.value[idx]
 
-        def make(out: Tensor):
-            def backward():
-                if a.requires_grad:
-                    g = np.zeros_like(a.value)
-                    np.add.at(g, idx, out.grad)
-                    a._accumulate(g)
-            return backward
+        def backward(g):
+            if a.requires_grad:
+                full = np.zeros_like(a.value)
+                np.add.at(full, idx, g)
+                a._accumulate(full)
 
-        return self._record("take_rows", (a,), value, make)
+        return self._record("take_rows", (a,), value, backward)
 
     def concat_rows(self, tensors: Sequence) -> Tensor:
         ts = tuple(self._coerce(t) for t in tensors)
@@ -491,15 +463,12 @@ class Tape:
         value = np.concatenate([t.value for t in ts], axis=0)
         splits = np.cumsum([t.value.shape[0] for t in ts])[:-1]
 
-        def make(out: Tensor):
-            def backward():
-                pieces = np.split(out.grad, splits, axis=0)
-                for t, g in zip(ts, pieces):
-                    if t.requires_grad:
-                        t._accumulate(g, shared=True)
-            return backward
+        def backward(g):
+            for t, piece in zip(ts, np.split(g, splits, axis=0)):
+                if t.requires_grad:
+                    t._accumulate(piece, shared=True)
 
-        return self._record("concat_rows", ts, value, make)
+        return self._record("concat_rows", ts, value, backward)
 
     def concat_cols(self, tensors: Sequence) -> Tensor:
         ts = tuple(self._coerce(t) for t in tensors)
@@ -513,15 +482,12 @@ class Tape:
         value = np.concatenate([t.value for t in ts], axis=1)
         splits = np.cumsum([t.value.shape[1] for t in ts])[:-1]
 
-        def make(out: Tensor):
-            def backward():
-                pieces = np.split(out.grad, splits, axis=1)
-                for t, g in zip(ts, pieces):
-                    if t.requires_grad:
-                        t._accumulate(g, shared=True)
-            return backward
+        def backward(g):
+            for t, piece in zip(ts, np.split(g, splits, axis=1)):
+                if t.requires_grad:
+                    t._accumulate(piece, shared=True)
 
-        return self._record("concat_cols", ts, value, make)
+        return self._record("concat_cols", ts, value, backward)
 
     def slice_cols(self, a, start: int, stop: int) -> Tensor:
         a = self._coerce(a)
@@ -531,15 +497,13 @@ class Tape:
                 f"slice_cols: [{start}:{stop}] invalid for shape {a.value.shape}")
         value = a.value[:, start:stop].copy()
 
-        def make(out: Tensor):
-            def backward():
-                if a.requires_grad:
-                    g = np.zeros_like(a.value)
-                    g[:, start:stop] = out.grad
-                    a._accumulate(g)
-            return backward
+        def backward(g):
+            if a.requires_grad:
+                full = np.zeros_like(a.value)
+                full[:, start:stop] = g
+                a._accumulate(full)
 
-        return self._record("slice_cols", (a,), value, make)
+        return self._record("slice_cols", (a,), value, backward)
 
     def mean_rows(self, a) -> Tensor:
         """Column-wise mean across rows; an n x d input gives 1 x d."""
@@ -547,13 +511,11 @@ class Tape:
         n = a.value.shape[0]
         value = a.value.mean(axis=0, keepdims=True)
 
-        def make(out: Tensor):
-            def backward():
-                if a.requires_grad:
-                    a._accumulate(np.repeat(out.grad / n, n, axis=0))
-            return backward
+        def backward(g):
+            if a.requires_grad:
+                a._accumulate(np.repeat(g / n, n, axis=0))
 
-        return self._record("mean_rows", (a,), value, make)
+        return self._record("mean_rows", (a,), value, backward)
 
     # ------------------------------------------------------------------
     # blocked attention products
@@ -581,17 +543,15 @@ class Tape:
         k3 = k.value.reshape(s, block, d)
         value = np.matmul(q3, k3.transpose(0, 2, 1)).reshape(s * block, block)
 
-        def make(out: Tensor):
-            def backward():
-                g3 = out.grad.reshape(s, block, block)
-                if q.requires_grad:
-                    q._accumulate(np.matmul(g3, k3).reshape(s * block, d))
-                if k.requires_grad:
-                    k._accumulate(
-                        np.matmul(g3.transpose(0, 2, 1), q3).reshape(s * block, d))
-            return backward
+        def backward(g):
+            g3 = g.reshape(s, block, block)
+            if q.requires_grad:
+                q._accumulate(np.matmul(g3, k3).reshape(s * block, d))
+            if k.requires_grad:
+                k._accumulate(
+                    np.matmul(g3.transpose(0, 2, 1), q3).reshape(s * block, d))
 
-        return self._record("attention_scores", (q, k), value, make)
+        return self._record("attention_scores", (q, k), value, backward)
 
     def attention_apply(self, p, v, block: int) -> Tensor:
         """Block-diagonal P V: per-segment mixing of value rows.
@@ -612,18 +572,16 @@ class Tape:
         v3 = v.value.reshape(s, block, d)
         value = np.matmul(p3, v3).reshape(s * block, d)
 
-        def make(out: Tensor):
-            def backward():
-                g3 = out.grad.reshape(s, block, d)
-                if p.requires_grad:
-                    p._accumulate(
-                        np.matmul(g3, v3.transpose(0, 2, 1)).reshape(s * block, block))
-                if v.requires_grad:
-                    v._accumulate(
-                        np.matmul(p3.transpose(0, 2, 1), g3).reshape(s * block, d))
-            return backward
+        def backward(g):
+            g3 = g.reshape(s, block, d)
+            if p.requires_grad:
+                p._accumulate(
+                    np.matmul(g3, v3.transpose(0, 2, 1)).reshape(s * block, block))
+            if v.requires_grad:
+                v._accumulate(
+                    np.matmul(p3.transpose(0, 2, 1), g3).reshape(s * block, d))
 
-        return self._record("attention_apply", (p, v), value, make)
+        return self._record("attention_apply", (p, v), value, backward)
 
     def multi_head_attention(self, q, k, v, heads: int, block: int,
                              rate: float, training: bool) -> Tensor:
@@ -680,25 +638,23 @@ class Tape:
             mixed = probs * mask
         value = merge(np.matmul(mixed, v4))
 
-        def make(out: Tensor):
-            def backward():
-                g4 = split(out.grad)
-                if v.requires_grad:
-                    v._accumulate(merge(np.matmul(swap(mixed), g4)))
-                if not (q.requires_grad or k.requires_grad):
-                    return
-                dp = np.matmul(g4, swap(v4))
-                if mask is not None:
-                    dp *= mask
-                ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
-                ds *= c
-                if q.requires_grad:
-                    q._accumulate(merge(np.matmul(ds, k4)))
-                if k.requires_grad:
-                    k._accumulate(merge(np.matmul(swap(ds), q4)))
-            return backward
+        def backward(g):
+            g4 = split(g)
+            if v.requires_grad:
+                v._accumulate(merge(np.matmul(swap(mixed), g4)))
+            if not (q.requires_grad or k.requires_grad):
+                return
+            dp = np.matmul(g4, swap(v4))
+            if mask is not None:
+                dp *= mask
+            ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
+            ds *= c
+            if q.requires_grad:
+                q._accumulate(merge(np.matmul(ds, k4)))
+            if k.requires_grad:
+                k._accumulate(merge(np.matmul(swap(ds), q4)))
 
-        return self._record("multi_head_attention", (q, k, v), value, make)
+        return self._record("multi_head_attention", (q, k, v), value, backward)
 
     # ------------------------------------------------------------------
     # similarity and losses
@@ -719,17 +675,14 @@ class Tape:
         u[zero] = 0.0
         value = u @ u.T
 
-        def make(out: Tensor):
-            def backward():
-                if a.requires_grad:
-                    g = out.grad
-                    du = (g + g.T) @ u
-                    ga = (du - u * (du * u).sum(axis=1, keepdims=True)) / safe
-                    ga[zero] = 0.0
-                    a._accumulate(ga)
-            return backward
+        def backward(g):
+            if a.requires_grad:
+                du = (g + g.T) @ u
+                ga = (du - u * (du * u).sum(axis=1, keepdims=True)) / safe
+                ga[zero] = 0.0
+                a._accumulate(ga)
 
-        return self._record("cosine_rows", (a,), value, make)
+        return self._record("cosine_rows", (a,), value, backward)
 
     def mse(self, a, target) -> Tensor:
         """Mean of squared differences over all entries; returns 1 x 1."""
@@ -740,13 +693,11 @@ class Tape:
         diff = a.value - t
         value = np.array([[np.mean(diff * diff)]])
 
-        def make(out: Tensor):
-            def backward():
-                if a.requires_grad:
-                    a._accumulate(out.grad[0, 0] * 2.0 * diff / diff.size)
-            return backward
+        def backward(g):
+            if a.requires_grad:
+                a._accumulate(g[0, 0] * 2.0 * diff / diff.size)
 
-        return self._record("mse", (a,), value, make)
+        return self._record("mse", (a,), value, backward)
 
     def cross_entropy(self, logits, targets) -> Tensor:
         """Softmax cross-entropy summed over rows; returns 1 x 1.
@@ -766,13 +717,11 @@ class Tape:
         value = np.array([[np.sum(lse - (x * t).sum(axis=1, keepdims=True))]])
         softmax = np.exp(x - lse)
 
-        def make(out: Tensor):
-            def backward():
-                if a.requires_grad:
-                    a._accumulate(out.grad[0, 0] * (softmax - t))
-            return backward
+        def backward(g):
+            if a.requires_grad:
+                a._accumulate(g[0, 0] * (softmax - t))
 
-        return self._record("cross_entropy", (a,), value, make)
+        return self._record("cross_entropy", (a,), value, backward)
 
     # ------------------------------------------------------------------
     # reverse pass

@@ -19,6 +19,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,35 +154,41 @@ def _fold_streams(seed: int, fold: int):
 # shared epoch machinery
 
 
-def _optimize_batch(tape: Tape, params: ModelParams, loss, state: AdamState,
-                    grad_clip: float | None) -> None:
-    tape.backward(loss)
-    if grad_clip is not None:
-        clip_global_norm(params.grads, grad_clip, params.offsets)
-    adam_step(params.values, params.grads, state)
-    params.zero_grads()
+def _batches(inputs: list, indices: np.ndarray, size: int, class_count: int):
+    """Batches of the indexed graphs, ``size`` at a time."""
+    for start in range(0, len(indices), size):
+        chunk = indices[start:start + size]
+        yield build_batch([inputs[i] for i in chunk], class_count)
 
 
-def _run_epoch(params: ModelParams, config: ModelConfig, inputs: list,
-               indices: np.ndarray, rng: np.random.Generator, tape: Tape,
-               state: AdamState, batch_size: int,
-               grad_clip: float | None):
-    """One shuffled pass; returns (mean per-graph loss, train accuracy)."""
-    order = rng.permutation(len(indices))
-    shuffled = indices[order]
+def _correct(logits, batch) -> int:
+    """How many of the batch's graphs the logits classify right."""
+    preds = np.argmax(logits.value, axis=1)
+    return int(np.sum(preds == np.argmax(batch.labels_onehot, axis=1)))
+
+
+def _run_epoch(params: ModelParams, inputs: list, indices: np.ndarray,
+               rng: np.random.Generator, tape: Tape, state: AdamState,
+               train_cfg: TrainConfig, class_count: int, batch_loss):
+    """One shuffled pass of clip/Adam steps; returns (mean per-graph loss,
+    fraction classified right). ``batch_loss(tape, batch)`` returns
+    (loss or None, graphs classified right); None takes no step."""
+    shuffled = indices[rng.permutation(len(indices))]
     total_loss = 0.0
     correct = 0
-    for start in range(0, len(shuffled), batch_size):
-        chunk = shuffled[start:start + batch_size]
-        batch = build_batch([inputs[i] for i in chunk], config.class_count)
+    for batch in _batches(inputs, shuffled, train_cfg.batch_size, class_count):
         tape.reset()
-        loss, logits = classify_batch(tape, params, config, batch, training=True)
+        loss, right = batch_loss(tape, batch)
+        correct += right
+        if loss is None:
+            continue
         total_loss += float(loss.value[0, 0])
-        preds = np.argmax(logits.value, axis=1)
-        labels = np.argmax(batch.labels_onehot, axis=1)
-        correct += int(np.sum(preds == labels))
-        _optimize_batch(tape, params, loss, state, grad_clip)
-    n = len(shuffled)
+        tape.backward(loss)
+        if train_cfg.grad_clip is not None:
+            clip_global_norm(params.grads, train_cfg.grad_clip, params.offsets)
+        adam_step(params.values, params.grads, state)
+        params.zero_grads()
+    n = len(indices)
     return total_loss / n, correct / n
 
 
@@ -194,14 +201,10 @@ def evaluate_accuracy(params: ModelParams, config: ModelConfig, inputs: list,
     tape = Tape()
     correct = 0
     with tape.paused():
-        for start in range(0, indices.size, EVAL_CHUNK):
-            chunk = indices[start:start + EVAL_CHUNK]
-            batch = build_batch([inputs[i] for i in chunk], config.class_count)
+        for batch in _batches(inputs, indices, EVAL_CHUNK, config.class_count):
             _, logits = classify_batch(tape, params, config, batch,
                                        training=False)
-            preds = np.argmax(logits.value, axis=1)
-            labels = np.argmax(batch.labels_onehot, axis=1)
-            correct += int(np.sum(preds == labels))
+            correct += _correct(logits, batch)
     return correct / indices.size
 
 
@@ -240,9 +243,11 @@ def pretrain(dataset: GraphDataset, plan: UnifyPlan, config: ModelConfig,
              loss_log: list | None = None) -> ModelParams:
     """Train the enabled unsupervised tasks over all graphs.
 
-    Returns the trained parameters; with pretrain_epochs = 0 they equal
-    the initialization. `loss_log`, when given, receives the mean
-    per-graph loss of each epoch.
+    Each epoch is one pass of the epoch loop fine-tuning uses, with
+    ``pretrain_batch_loss`` as the batch loss. Returns the trained
+    parameters; with pretrain_epochs = 0 they equal the initialization.
+    `loss_log`, when given, receives the mean per-graph loss of each
+    epoch.
     """
     tasks = tuple(train_cfg.pretrain_tasks)
     if not tasks:
@@ -260,21 +265,16 @@ def pretrain(dataset: GraphDataset, plan: UnifyPlan, config: ModelConfig,
                                  train_cfg.weight_decay)
     tape = Tape(seed=tape_seed)
     indices = np.arange(len(inputs))
+
+    def task_loss(tape, batch):
+        return pretrain_batch_loss(tape, params, config, batch, tasks,
+                                   training=True), 0
+
     for _epoch in range(train_cfg.pretrain_epochs):
-        order = rng.permutation(len(indices))
-        total = 0.0
-        for start in range(0, len(indices), train_cfg.batch_size):
-            chunk = indices[order[start:start + train_cfg.batch_size]]
-            batch = build_batch([inputs[i] for i in chunk], config.class_count)
-            tape.reset()
-            loss = pretrain_batch_loss(tape, params, config, batch, tasks,
-                                       training=True)
-            if loss is None:
-                continue
-            total += float(loss.value[0, 0])
-            _optimize_batch(tape, params, loss, state, train_cfg.grad_clip)
+        loss, _ = _run_epoch(params, inputs, indices, rng, tape, state,
+                             train_cfg, config.class_count, task_loss)
         if loss_log is not None:
-            loss_log.append(total / len(indices))
+            loss_log.append(loss)
     return params
 
 
@@ -304,6 +304,10 @@ def finetune_fold(inputs: list, split: FoldSplit, config: ModelConfig,
                                  train_cfg.weight_decay)
     tape = Tape(seed=tape_seed)
 
+    def classify(tape, batch):
+        loss, logits = classify_batch(tape, params, config, batch, training=True)
+        return loss, _correct(logits, batch)
+
     history = []
     best_val = -1.0
     best_epoch = 0
@@ -311,8 +315,8 @@ def finetune_fold(inputs: list, split: FoldSplit, config: ModelConfig,
     stale = 0
     for epoch in range(1, train_cfg.epochs + 1):
         train_loss, train_acc = _run_epoch(
-            params, config, inputs, train_idx, rng, tape, state,
-            train_cfg.batch_size, train_cfg.grad_clip)
+            params, inputs, train_idx, rng, tape, state, train_cfg,
+            config.class_count, classify)
         val_acc = evaluate_accuracy(params, config, inputs, val_idx)
         test_acc = evaluate_accuracy(params, config, inputs, test_idx)
         history.append(EpochStats(epoch, train_loss, train_acc, val_acc,
@@ -335,8 +339,8 @@ def finetune_fold(inputs: list, split: FoldSplit, config: ModelConfig,
                                        train_cfg.weight_decay)
     refit_tape = Tape(seed=refit_tape_seed)
     for _epoch in range(best_epoch):
-        _run_epoch(params, config, inputs, refit_idx, refit_rng, refit_tape,
-                   refit_state, train_cfg.batch_size, train_cfg.grad_clip)
+        _run_epoch(params, inputs, refit_idx, refit_rng, refit_tape,
+                   refit_state, train_cfg, config.class_count, classify)
     final_test = evaluate_accuracy(params, config, inputs, test_idx)
 
     return FoldReport(
@@ -384,20 +388,14 @@ def run_cv(dataset: GraphDataset, plan: UnifyPlan, config: ModelConfig,
     packed = [(inputs, split, config, train_cfg, fold, init)
               for fold, split in enumerate(splits)]
     reports = []
-    if jobs == 1:
-        for fold, item in enumerate(packed):
+    with (ProcessPoolExecutor(max_workers=min(jobs, len(packed)))
+          if jobs > 1 else nullcontext()) as pool:
+        results = (pool.map if pool else map)(_fold_job, packed)
+        for fold in range(len(packed)):
             try:
-                reports.append(_fold_job(item))
+                reports.append(next(results))
             except Exception as exc:
                 raise RuntimeError(f"fold {fold} failed: {exc}") from exc
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(packed))) as pool:
-            futures = [pool.submit(_fold_job, item) for item in packed]
-            for fold, fut in enumerate(futures):
-                try:
-                    reports.append(fut.result())
-                except Exception as exc:
-                    raise RuntimeError(f"fold {fold} failed: {exc}") from exc
 
     accs = np.array([r.final_test_accuracy for r in reports])
     summary = RunSummary(

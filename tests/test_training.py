@@ -2,6 +2,7 @@
 
 import csv
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -326,7 +327,13 @@ def test_run_cv_rejects_fewer_than_one_job(jobs):
         run_cv(ds, plan, config, cheap_train_cfg(), jobs=jobs)
 
 
-def test_run_cv_fold_failure_names_the_fold(monkeypatch):
+@pytest.mark.parametrize("jobs", [
+    1,
+    pytest.param(2, marks=pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers see the patched finetune_fold only when forked")),
+])
+def test_run_cv_fold_failure_names_the_fold(monkeypatch, jobs):
     ds, plan, config, _ = tiny_setup()
     import segbert.training as training
 
@@ -339,7 +346,7 @@ def test_run_cv_fold_failure_names_the_fold(monkeypatch):
 
     monkeypatch.setattr(training, "finetune_fold", boom)
     with pytest.raises(RuntimeError, match="fold 3 failed"):
-        run_cv(ds, plan, config, cheap_train_cfg())
+        run_cv(ds, plan, config, cheap_train_cfg(), jobs=jobs)
 
 
 def test_run_cv_with_pretraining_transfer():
