@@ -130,7 +130,9 @@ def finite_difference_check(params: ModelParams, run_loss, step: float = DEFAULT
 
     Each evaluation runs on a fresh tape with the same seed, so training
     mode draws the same dropout masks every time and the loss stays a
-    deterministic function of the parameters.
+    deterministic function of the parameters. Only the analytic pass
+    records; the finite-difference evaluations run on paused tapes,
+    which compute the same values and masks without taping entries.
     """
     params.zero_grads()
     tape = Tape(seed=0)
@@ -138,7 +140,9 @@ def finite_difference_check(params: ModelParams, run_loss, step: float = DEFAULT
     analytic = params.grads.copy()
 
     def loss_value() -> float:
-        return float(run_loss(Tape(seed=0)).value[0, 0])
+        tape = Tape(seed=0)
+        with tape.paused():
+            return float(run_loss(tape).value[0, 0])
 
     values = params.values
     numeric = np.empty_like(values)

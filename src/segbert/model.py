@@ -274,6 +274,8 @@ class GraphInputs:
 
 def prepare_graph(g: GraphInstance, features: GraphFeatures, plan: UnifyPlan,
                   config: ModelConfig, order=None) -> GraphInputs:
+    if g.node_count == 0:
+        raise ValueError("graph has no nodes: there is nothing to embed or pool")
     segments = unify(g, plan, order=order)
     slot_node = np.array([-1 if i is None else i for s in segments for i in s.node_ids],
                          dtype=np.int64)

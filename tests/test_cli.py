@@ -317,6 +317,8 @@ def test_gradcheck_detects_corrupted_backward(capsys, monkeypatch):
 
     def tampered(self, a):
         out = real_gelu(self, a)
+        if not (self.entries and self.entries[-1].output is out):
+            return out  # a paused tape records no entry to corrupt
         entry = self.entries[-1]
         orig = entry.backward
 

@@ -90,6 +90,8 @@ def test_corrupted_backward_is_detected(monkeypatch):
 
     def tampered(self, a):
         out = real_gelu(self, a)
+        if not (self.entries and self.entries[-1].output is out):
+            return out  # a paused tape records no entry to corrupt
         entry = self.entries[-1]
         orig = entry.backward
 

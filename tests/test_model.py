@@ -566,3 +566,11 @@ def test_checkpoint_rejects_short_file_header(tmp_path, size):
     with pytest.raises(ValueError, match="truncated checkpoint header") as err:
         load_checkpoint(str(path))
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_prepare_graph_rejects_a_graph_without_nodes(strategy):
+    g = GraphInstance(node_count=0, edges=[], label=0)
+    plan = UnifyPlan(strategy, 4)
+    with pytest.raises(ValueError, match="graph has no nodes"):
+        prepare_graph(g, build_bundles(g, n_adj=4), plan, tiny_config())

@@ -4,6 +4,7 @@ import csv
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from segbert.dataset import FoldSplit, make_folds
 from segbert.features import build_bundles
 from segbert.model import (
     config_for,
+    forward_graph,
     init_params,
     prepare_dataset,
     prepare_graph,
@@ -261,6 +263,69 @@ def test_evaluate_accuracy_matches_labels():
     assert 0.0 <= acc <= 1.0
     with pytest.raises(ValueError, match="empty"):
         evaluate_accuracy(params, config, inputs, [])
+
+
+def test_evaluate_accuracy_chunks_by_slot_budget(monkeypatch):
+    # segment shifting at k=4 gives 4 to 20 slots per graph; a budget of
+    # 16 packs several small graphs per batch and sends 20-slot ones alone
+    ds = synth_dataset(count=30, seed=5, lo=3, hi=20)
+    plan = UnifyPlan(Strategy.SEGMENT_SHIFTING, 4)
+    config = config_for(ds, plan, **TINY)
+    inputs = prepare_dataset(ds, plan, config)
+    params = init_params(config, seed=2)
+    budget = 16
+    monkeypatch.setattr(training, "EVAL_SLOTS", budget)
+    batches, logits = [], []
+    real_build, real_classify = training.build_batch, training.classify_batch
+
+    def recording_build(graph_inputs, class_count):
+        batches.append(list(graph_inputs))
+        return real_build(graph_inputs, class_count)
+
+    def recording_classify(tape, params, config, batch, training):
+        loss, out = real_classify(tape, params, config, batch, training)
+        logits.append(out.value)
+        return loss, out
+
+    monkeypatch.setattr(training, "build_batch", recording_build)
+    monkeypatch.setattr(training, "classify_batch", recording_classify)
+    indices = np.random.default_rng(0).permutation(len(inputs))[:25]
+    acc = evaluate_accuracy(params, config, inputs, indices)
+
+    sizes = [[gi.slot_count for gi in batch] for batch in batches]
+    assert any(len(s) > 1 for s in sizes) and any(s[0] > budget for s in sizes)
+    for s, following in zip(sizes, sizes[1:] + [None]):
+        assert sum(s) <= budget or len(s) == 1
+        if following is not None:  # the next graph would not have fitted
+            assert sum(s) + following[0] > budget
+    evaluated = [gi for batch in batches for gi in batch]
+    assert [id(gi) for gi in evaluated] == [id(inputs[i]) for i in indices]
+
+    preds = [int(np.argmax(forward_graph(params, config, inputs[i]).y_hat.value))
+             for i in indices]
+    assert acc == np.mean([p == inputs[i].label for p, i in zip(preds, indices)])
+    one_batch = real_build([inputs[i] for i in indices], config.class_count)
+    _, whole = real_classify(Tape(), params, config, one_batch, training=False)
+    assert np.max(np.abs(np.concatenate(logits) - whole.value)) <= 1e-12
+
+
+def test_evaluate_accuracy_peak_memory_stays_bounded():
+    # 300 graphs of 100 slots: in batches of 256 graphs the pooling matrix
+    # alone took 256 x 25,600 float64 = 52 MB and the traced peak was
+    # 160 MB; in batches of EVAL_SLOTS = 2048 slots it measured 8.8 MB
+    ds = synth_dataset(count=300, seed=1, with_tags=False, lo=100, hi=110)
+    plan = UnifyPlan(Strategy.PADDING_PRUNING, 100)
+    config = config_for(ds, plan)
+    inputs = prepare_dataset(ds, plan, config)
+    assert {gi.slot_count for gi in inputs} == {100}
+    params = init_params(config, seed=0)
+    tracemalloc.start()
+    try:
+        evaluate_accuracy(params, config, inputs, np.arange(len(inputs)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6, f"evaluate_accuracy peaked at {peak / 1e6:.1f} MB"
 
 
 # ----------------------------------------------------------------------
