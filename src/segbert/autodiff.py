@@ -746,6 +746,11 @@ class Tape:
 # Adam with decoupled weight decay
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moments shaped like the parameters, and a step counter."""
@@ -753,9 +758,6 @@ class AdamState:
     learning_rate: float
     m: np.ndarray
     v: np.ndarray
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     step_count: int = 0
 
@@ -779,7 +781,7 @@ def adam_step(value: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
             f"state {state.m.shape} differ in shape")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     lr = state.learning_rate
@@ -789,7 +791,7 @@ def adam_step(value: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     state.m += (1.0 - b1) * grad
     state.v *= b2
     state.v += (1.0 - b2) * (grad * grad)
-    value -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
+    value -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
 
 
 def clip_global_norm(grad: np.ndarray, max_norm: float,

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 
 from .dataset import DatasetError, GraphDataset, load_tu_dataset
-from .gradcheck import model_gradcheck
+from .gradcheck import TOLERANCE, model_gradcheck
 from .model import RESIDUAL_MODES, ModelConfig, ModelParams, config_for, save_checkpoint
 from .training import TrainConfig, check_jobs, default_learning_rate, run_cv
 from .unify import Strategy, resolve_plan
@@ -252,8 +252,6 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
             intermediate_dim=args.intermediate,
             attr_dim=args.attr_dim,
             seed=args.seed,
-            step=args.step,
-            tolerance=args.tolerance,
         )
         print(f"residual={mode}")
         for line in report.lines():
@@ -265,7 +263,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
                    if e >= report.tolerance]
             print(f"  FAILED groups: {', '.join(bad)}")
     print(f"worst relative error {worst:.3e} "
-          f"({'pass' if ok else 'FAIL'} at {args.tolerance:g})")
+          f"({'pass' if ok else 'FAIL'} at {TOLERANCE:g})")
     return 0 if ok else 1
 
 
@@ -296,8 +294,6 @@ def main(argv=None) -> int:
     p_grad.add_argument("--intermediate", type=int, default=default["intermediate_dim"])
     p_grad.add_argument("--attr-dim", type=int, default=default["attr_dim"], dest="attr_dim")
     p_grad.add_argument("--seed", type=int, default=default["seed"])
-    p_grad.add_argument("--step", type=float, default=default["step"])
-    p_grad.add_argument("--tolerance", type=float, default=default["tolerance"])
     p_grad.set_defaults(func=cmd_gradcheck)
 
     args = parser.parse_args(argv)

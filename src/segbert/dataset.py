@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,7 +65,6 @@ class GraphInstance:
         self.node_tags = node_tags
         self.node_attributes = node_attributes
         self.label = label
-        self._edges = edges
         if indptr is None:
             indptr, indices, weights = _csr_from_arcs(self.node_count, edges or [])
         self.indptr, self.indices = indptr, indices
@@ -74,13 +74,12 @@ class GraphInstance:
         """Source node of every stored arc, aligned with ``indices``."""
         return np.arange(self.node_count).repeat(self.indptr[1:] - self.indptr[:-1])
 
-    @property
+    @cached_property
     def edges(self) -> list:
-        """[(i, j, weight)], both directions present, sorted."""
-        if self._edges is None:
-            self._edges = list(zip(self.arc_rows().tolist(), self.indices.tolist(),
-                                   self.weights.tolist()))
-        return self._edges
+        """[(i, j, weight)] of the stored arcs, both directions present,
+        sorted; built from the CSR arrays at the first read."""
+        return list(zip(self.arc_rows().tolist(), self.indices.tolist(),
+                        self.weights.tolist()))
 
     def neighbor_sets(self) -> list[set]:
         ptr, nbrs = self.indptr.tolist(), self.indices.tolist()

@@ -36,8 +36,10 @@ from .unify import Strategy, UnifyPlan
 __all__ = ["GradCheckReport", "finite_difference_check", "model_gradcheck",
            "relative_error", "toy_graph"]
 
-DEFAULT_STEP = 1e-5
-DEFAULT_TOLERANCE = 1e-3
+# the one gate setting: central differences with this step, and every
+# parameter group's relative error below this tolerance
+STEP = 1e-5
+TOLERANCE = 1e-3
 TOY_ATTR_DIM = 3
 
 
@@ -85,8 +87,7 @@ def model_gradcheck(residual_mode: str = ModelConfig.residual_mode,
                     head_count: int = ModelConfig.head_count,
                     layer_count: int = ModelConfig.layer_count,
                     intermediate_dim: int = ModelConfig.intermediate_dim,
-                    attr_dim: int = TOY_ATTR_DIM, seed: int = 0, step: float = DEFAULT_STEP,
-                    tolerance: float = DEFAULT_TOLERANCE) -> GradCheckReport:
+                    attr_dim: int = TOY_ATTR_DIM, seed: int = 0) -> GradCheckReport:
     """Check every parameter group of a small model; returns a report."""
     g = toy_graph(attr_dim)
     # dropout keeps ModelConfig's rates, which eval mode ignores
@@ -120,13 +121,13 @@ def model_gradcheck(residual_mode: str = ModelConfig.residual_mode,
         struct = tape.mse(recover_structure(tape, h_final), target_w)
         return tape.add_n([ce, recon, struct])
 
-    return finite_difference_check(params, run_loss, step, tolerance)
+    return finite_difference_check(params, run_loss)
 
 
-def finite_difference_check(params: ModelParams, run_loss, step: float = DEFAULT_STEP,
-                            tolerance: float = DEFAULT_TOLERANCE) -> GradCheckReport:
+def finite_difference_check(params: ModelParams, run_loss) -> GradCheckReport:
     """Compare the tape gradient of ``run_loss(tape)``, a 1 x 1 loss
-    tensor, with central differences, entry by entry for every parameter.
+    tensor, with central differences of step ``STEP``, entry by entry
+    for every parameter; the report passes below ``TOLERANCE``.
 
     Each evaluation runs on a fresh tape with the same seed, so training
     mode draws the same dropout masks every time and the loss stays a
@@ -148,13 +149,13 @@ def finite_difference_check(params: ModelParams, run_loss, step: float = DEFAULT
     numeric = np.empty_like(values)
     for i in range(values.size):
         orig = values[i]
-        values[i] = orig + step
+        values[i] = orig + STEP
         hi = loss_value()
-        values[i] = orig - step
+        values[i] = orig - STEP
         lo = loss_value()
         values[i] = orig
-        numeric[i] = (hi - lo) / (2.0 * step)
+        numeric[i] = (hi - lo) / (2.0 * STEP)
     bounds = zip(params.names(), params.offsets, params.offsets[1:])
     errors = {name: relative_error(analytic[lo:hi], numeric[lo:hi])
               for name, lo, hi in bounds}
-    return GradCheckReport(errors=errors, tolerance=tolerance)
+    return GradCheckReport(errors=errors, tolerance=TOLERANCE)

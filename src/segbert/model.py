@@ -253,13 +253,14 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
 class GraphInputs:
     """Per-graph constant arrays, ready to stack into batches.
 
-    Rows follow slot order (segments concatenated). ``real_slots``
+    Rows follow slot order (segments concatenated); ``slot_nodes`` gives
+    each slot's original node index, -1 at dummy slots. ``real_slots``
     indexes the real rows sorted by original node id, so gathered
     representations come out in the graph's fixed node order.
     """
 
     graph: GraphInstance
-    segments: list
+    slot_nodes: np.ndarray
     const_rows: np.ndarray
     adj_rows: CsrRows
     attr_rows: np.ndarray | None
@@ -276,9 +277,7 @@ def prepare_graph(g: GraphInstance, features: GraphFeatures, plan: UnifyPlan,
                   config: ModelConfig, order=None) -> GraphInputs:
     if g.node_count == 0:
         raise ValueError("graph has no nodes: there is nothing to embed or pool")
-    segments = unify(g, plan, order=order)
-    slot_node = np.array([-1 if i is None else i for s in segments for i in s.node_ids],
-                         dtype=np.int64)
+    slot_node = np.concatenate([s.node_ids for s in unify(g, plan, order=order)])
     dummy = slot_node < 0
     d = config.hidden_dim
 
@@ -305,7 +304,7 @@ def prepare_graph(g: GraphInstance, features: GraphFeatures, plan: UnifyPlan,
     real = np.flatnonzero(~dummy)
     by_node = np.argsort(slot_node[real], kind="stable")
     real = real[by_node]
-    return GraphInputs(graph=g, segments=segments, const_rows=const, adj_rows=adj,
+    return GraphInputs(graph=g, slot_nodes=slot_node, const_rows=const, adj_rows=adj,
                        attr_rows=attr, real_slots=real, kept_nodes=slot_node[real],
                        label=g.label)
 

@@ -264,11 +264,10 @@ def pretrain_batch_loss(tape: Tape, params: ModelParams, config: ModelConfig,
     return tape.add_n(terms) if len(terms) > 1 else terms[0]
 
 
-def pretrain(dataset: GraphDataset, plan: UnifyPlan, config: ModelConfig,
-             train_cfg: TrainConfig, init: ModelParams | None = None,
-             inputs: list | None = None,
+def pretrain(inputs: list, config: ModelConfig, train_cfg: TrainConfig,
+             init: ModelParams | None = None,
              loss_log: list | None = None) -> ModelParams:
-    """Train the enabled unsupervised tasks over all graphs.
+    """Train the enabled unsupervised tasks over all prepared graphs.
 
     Each epoch is one pass of the epoch loop fine-tuning uses, with
     ``pretrain_batch_loss`` as the batch loss. Returns the trained
@@ -283,8 +282,6 @@ def pretrain(dataset: GraphDataset, plan: UnifyPlan, config: ModelConfig,
         raise ValueError(
             "reconstruction pre-training needs node attributes; "
             "this dataset has none (use the structure task only)")
-    if inputs is None:
-        inputs = prepare_dataset(dataset, plan, config)
     # fold ids run 0..9; 10 is reserved for the shared pre-training pass
     init_seed, rng, tape_seed = _fold_streams(train_cfg.seed, 10)[:3]
     params = init.copy() if init is not None else init_params(config, seed=init_seed)
@@ -410,7 +407,7 @@ def run_cv(dataset: GraphDataset, plan: UnifyPlan, config: ModelConfig,
     splits = make_folds(dataset, seed=train_cfg.seed)
     init = None
     if train_cfg.pretrain_tasks:
-        init = pretrain(dataset, plan, config, train_cfg, inputs=inputs)
+        init = pretrain(inputs, config, train_cfg)
 
     packed = [(inputs, split, config, train_cfg, fold, init)
               for fold, split in enumerate(splits)]

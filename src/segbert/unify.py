@@ -1,12 +1,14 @@
 """Graph-size unification: map a variable-size graph onto fixed slots.
 
-Three strategies. FullInput sizes every instance to the dataset
-maximum; PaddingPruning uses a per-dataset budget k, padding small
-graphs and keeping only the first k nodes of the serialization order
-for large ones; SegmentShifting chops the node sequence into ceil(n/k)
-segments of k slots. Dummy slots carry all-zero features, sit at the
-tail of the last segment, take part in attention like any other slot,
-and are excluded from fusion and losses downstream.
+Three strategies, one rule: keep a prefix of the node serialization
+order, pad it with -1 to a whole number of segments of k slots, and cut
+that one slot -> node array into k-wide segments. FullInput keeps every
+node and pins k to the dataset maximum, so a graph fills one segment;
+PaddingPruning keeps the first k nodes under a per-dataset budget k,
+so one segment too; SegmentShifting keeps every node in ceil(n/k)
+segments. A -1 slot is a dummy: it carries all-zero features, sits at
+the tail of the last segment, takes part in attention like any other
+slot, and is excluded from fusion and losses downstream.
 """
 
 from __future__ import annotations
@@ -38,15 +40,13 @@ class Strategy(str, Enum):
 
 
 # per-dataset padding/pruning budgets, sized slightly above the
-# average instance; lookups fall back to prefix matching so TU variant
-# suffixes (PTC_MR, PROTEINS_full) hit the intended row
+# average instance; a name takes the first row it starts with, so TU
+# variants (PTC_MR, PROTEINS_full, IMDB-BINARY) hit the intended row
 _PADDING_K = {
     "MUTAG": 25,
     "PTC": 50,
-    "IMDB-BINARY": 50,
     "IMDBBINARY": 50,
     "IMDB-B": 50,
-    "IMDB-MULTI": 50,
     "IMDBMULTI": 50,
     "IMDB-M": 50,
     "NCI1": 50,
@@ -65,21 +65,23 @@ class UnifyPlan:
 
 @dataclass
 class Segment:
-    """k slots; node_ids holds the original node index or None."""
+    """k slots; ``node_ids`` holds each slot's original node index, or
+    -1 at a dummy slot."""
 
-    slot_count: int
-    node_ids: list
-    real_mask: np.ndarray
+    node_ids: np.ndarray
+
+    @property
+    def slot_count(self) -> int:
+        return len(self.node_ids)
+
+    @property
+    def real_mask(self) -> np.ndarray:
+        return self.node_ids >= 0
 
 
 def _named_padding_k(name: str) -> int | None:
     key = name.strip().upper()
-    if key in _PADDING_K:
-        return _PADDING_K[key]
-    for prefix, k in _PADDING_K.items():
-        if key.startswith(prefix):
-            return k
-    return None
+    return next((k for prefix, k in _PADDING_K.items() if key.startswith(prefix)), None)
 
 
 def resolve_k(dataset: GraphDataset, strategy: Strategy,
@@ -136,38 +138,26 @@ def unify(g: GraphInstance, plan: UnifyPlan, order=None) -> list:
     """Slot assignment for one graph; returns a list of Segments.
 
     ``order`` optionally re-serializes the nodes (a permutation of
-    0..n-1). Pruning keeps the first k entries of that order;
-    segmenting chops it into consecutive runs.
+    0..n-1). The kept prefix of that order (its first k entries under
+    PaddingPruning, all of it otherwise) is padded with -1 to whole
+    segments of k slots; the Segments are the k-wide rows of that one
+    int64 array.
     """
     n = g.node_count
     if order is None:
-        order = list(range(n))
+        order = np.arange(n, dtype=np.int64)
     else:
-        order = [int(i) for i in order]
-        if sorted(order) != list(range(n)):
+        order = np.asarray(order, dtype=np.int64)
+        if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError("order must be a permutation of the node indices")
     k = plan.k
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
+    if plan.strategy is Strategy.FULL_INPUT and n > k:
+        raise ValueError(
+            f"full-input requires k >= node_count, got k={k} for {n} nodes")
 
-    if plan.strategy is Strategy.FULL_INPUT:
-        if n > k:
-            raise ValueError(
-                f"full-input requires k >= node_count, got k={k} for {n} nodes")
-        kept = order
-        chunk_count = 1
-    elif plan.strategy is Strategy.PADDING_PRUNING:
-        kept = order[:k]
-        chunk_count = 1
-    else:
-        kept = order
-        chunk_count = segment_count(n, k)
-
-    segments = []
-    for c in range(chunk_count):
-        ids = kept[c * k:(c + 1) * k]
-        pad = k - len(ids)
-        slot_ids = list(ids) + [None] * pad
-        mask = np.array([i is not None for i in slot_ids], dtype=bool)
-        segments.append(Segment(slot_count=k, node_ids=slot_ids, real_mask=mask))
-    return segments
+    kept = order[:k] if plan.strategy is Strategy.PADDING_PRUNING else order
+    slots = np.full(segment_count(len(kept), k) * k, -1, dtype=np.int64)
+    slots[:len(kept)] = kept
+    return [Segment(row) for row in slots.reshape(-1, k)]

@@ -206,8 +206,8 @@ def test_train_writes_reports_and_echo(data_dir, tmp_path, capsys):
         assert os.path.exists(os.path.join(out, name)), name
     stdout = capsys.readouterr().out
     assert "mean test accuracy" in stdout
-    echo = config_from_text(
-        open(os.path.join(out, "config_echo.txt"), encoding="utf-8").read())
+    with open(os.path.join(out, "config_echo.txt"), encoding="utf-8") as fh:
+        echo = config_from_text(fh.read())
     assert echo.k == 8
     assert echo.lr == pytest.approx(1e-4)
     assert echo.strategy == "padding-pruning"
@@ -310,6 +310,13 @@ def test_gradcheck_both_modes(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "residual=none" in out and "residual=raw" in out
+
+
+@pytest.mark.parametrize("flag", ["--tolerance", "--step"])
+def test_gradcheck_gate_is_not_settable(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", flag, "1"] + GRAD_FLAGS)
+    assert exc.value.code == 2
 
 
 def test_gradcheck_detects_corrupted_backward(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """TU loader, writer and fold construction."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from segbert.dataset import (
     DatasetError,
     FoldSplit,
+    GraphDataset,
     GraphInstance,
     load_tu_dataset,
     make_folds,
@@ -354,3 +356,19 @@ def test_weight_matrix_and_helpers_from_csr():
     back = GraphInstance(node_count=3, indptr=g.indptr, indices=g.indices,
                          weights=g.weights)
     assert back.edges == [(0, 0, 1.0), (0, 2, 2.5), (2, 0, 2.5)]
+
+
+def test_edges_are_the_stored_arcs(tmp_path):
+    # unsorted input with a repeated arc: the last weight wins
+    g = GraphInstance(node_count=3, edges=[(1, 0, 1.0), (0, 1, 1.0), (0, 1, 2.0)])
+    assert g.edges == [(0, 1, 2.0), (1, 0, 1.0)]
+    assert g.edges == list(zip(g.arc_rows().tolist(), g.indices.tolist(),
+                               g.weights.tolist()))
+    ds = GraphDataset(name="TOY", graphs=[g, GraphInstance(node_count=1, label=1)],
+                      class_count=2, attr_dim=0, tag_vocab_size=0, max_nodes=3,
+                      avg_nodes=2.0)
+    write_tu_dataset(ds, str(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a duplicate arc line would warn
+        back = load_tu_dataset(str(tmp_path), "TOY")
+    assert back.graphs[0].edges == [(0, 1, 1.0), (1, 0, 1.0)]

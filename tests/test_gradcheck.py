@@ -130,7 +130,7 @@ def segmented_batch(residual_mode):
     plan = UnifyPlan(Strategy.SEGMENT_SHIFTING, 3)
     inputs = [prepare_graph(g, build_bundles(g, n_adj=9), plan, cfg)
               for g in (toy_graph(), ring)]
-    assert [len(gi.segments) for gi in inputs] == [2, 3]
+    assert [gi.slot_count // cfg.segment_k for gi in inputs] == [2, 3]
     assert [gi.slot_count - len(gi.real_slots) for gi in inputs] == [1, 2]
     return cfg, init_params(cfg, seed=3), inputs
 

@@ -48,7 +48,7 @@ def dense_slot_rows(g: GraphInstance, n_adj: int, slot_node: np.ndarray) -> np.n
 
 
 def slot_nodes(gi) -> np.ndarray:
-    return np.array([-1 if i is None else i for s in gi.segments for i in s.node_ids])
+    return gi.slot_nodes
 
 
 CASES = [

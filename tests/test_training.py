@@ -115,7 +115,7 @@ def test_pretrain_zero_epochs_returns_initialization():
     ds, plan, config, inputs = tiny_setup()
     cfg = TrainConfig(pretrain_tasks=("structure",), pretrain_epochs=0)
     init = init_params(config, seed=7)
-    out = pretrain(ds, plan, config, cfg, init=init, inputs=inputs)
+    out = pretrain(inputs, config, cfg, init=init)
     assert set(out.names()) == set(init.names())
     for name, t in out.items():
         assert np.array_equal(t.value, init[name].value)
@@ -125,7 +125,7 @@ def test_pretrain_requires_a_task():
     ds, plan, config, inputs = tiny_setup()
     cfg = TrainConfig(pretrain_tasks=())
     with pytest.raises(ValueError, match="at least one task"):
-        pretrain(ds, plan, config, cfg, inputs=inputs)
+        pretrain(inputs, config, cfg)
 
 
 def test_pretrain_reconstruction_needs_attributes():
@@ -133,7 +133,7 @@ def test_pretrain_reconstruction_needs_attributes():
     assert config.attr_dim == 0
     cfg = TrainConfig(pretrain_tasks=("reconstruction", "structure"))
     with pytest.raises(ValueError, match="node attributes"):
-        pretrain(ds, plan, config, cfg, inputs=inputs)
+        pretrain(inputs, config, cfg)
 
 
 def test_pretrain_structure_loss_decreases_on_average():
@@ -141,7 +141,7 @@ def test_pretrain_structure_loss_decreases_on_average():
     cfg = TrainConfig(learning_rate=1e-3, pretrain_tasks=("structure",),
                       pretrain_epochs=8, seed=1)
     log = []
-    pretrain(ds, plan, config, cfg, inputs=inputs, loss_log=log)
+    pretrain(inputs, config, cfg, loss_log=log)
     assert len(log) == 8
     assert np.mean(log[-2:]) < np.mean(log[:2])
 
@@ -149,8 +149,8 @@ def test_pretrain_structure_loss_decreases_on_average():
 def test_pretrain_is_seed_deterministic():
     ds, plan, config, inputs = tiny_setup()
     cfg = TrainConfig(pretrain_tasks=("structure",), pretrain_epochs=2, seed=5)
-    a = pretrain(ds, plan, config, cfg, inputs=inputs)
-    b = pretrain(ds, plan, config, cfg, inputs=inputs)
+    a = pretrain(inputs, config, cfg)
+    b = pretrain(inputs, config, cfg)
     for name, t in a.items():
         assert np.array_equal(t.value, b[name].value)
 
@@ -250,9 +250,8 @@ def test_training_writes_into_the_parameter_arenas(monkeypatch):
     final = np.concatenate([v.ravel() for v in report.final_values.values()])
     assert np.array_equal(final, evaluated[-1])
 
-    pretrained = pretrain(ds, plan, config,
-                          TrainConfig(pretrain_tasks=("structure",), pretrain_epochs=1),
-                          inputs=inputs)
+    pretrained = pretrain(inputs, config,
+                          TrainConfig(pretrain_tasks=("structure",), pretrain_epochs=1))
     assert_arena_views(pretrained)
 
 

@@ -33,10 +33,18 @@ def named_dataset(name, max_nodes=30, avg=17.9):
 
 @pytest.mark.parametrize("name,expected", [
     ("MUTAG", 25),
+    (" mutag ", 25),
+    ("PTC", 50),
     ("PTC_MR", 50),
+    ("PTC_FM", 50),
     ("IMDB-BINARY", 50),
+    ("IMDBBINARY", 50),
+    ("IMDB-B", 50),
     ("IMDB-MULTI", 50),
+    ("IMDBMULTI", 50),
+    ("IMDB-M", 50),
     ("NCI1", 50),
+    ("NCI109", 50),
     ("COLLAB", 100),
     ("PROTEINS", 100),
     ("PROTEINS_full", 100),
@@ -97,8 +105,7 @@ def test_full_input_pads_to_k():
     assert len(segs) == 1
     s = segs[0]
     assert s.slot_count == 20
-    assert s.node_ids[:12] == list(range(12))
-    assert s.node_ids[12:] == [None] * 8
+    assert s.node_ids.tolist() == list(range(12)) + [-1] * 8
     assert s.real_mask.sum() == 12
     assert not s.real_mask[12:].any()  # dummies at the tail
 
@@ -112,21 +119,20 @@ def test_padding_pruning_keeps_first_k_of_order():
     g = cycle_graph(30)
     segs = unify(g, UnifyPlan(Strategy.PADDING_PRUNING, 25))
     assert len(segs) == 1
-    assert segs[0].node_ids == list(range(25))
+    assert segs[0].node_ids.tolist() == list(range(25))
 
     reversed_order = list(range(29, -1, -1))
     segs = unify(g, UnifyPlan(Strategy.PADDING_PRUNING, 25), order=reversed_order)
-    assert segs[0].node_ids == reversed_order[:25]
+    assert segs[0].node_ids.tolist() == reversed_order[:25]
 
 
 def test_segment_shifting_28_nodes_k20():
     g = cycle_graph(28)
     segs = unify(g, UnifyPlan(Strategy.SEGMENT_SHIFTING, 20))
     assert len(segs) == 2
-    assert segs[0].node_ids == list(range(20))
+    assert segs[0].node_ids.tolist() == list(range(20))
     assert segs[0].real_mask.all()
-    assert segs[1].node_ids[:8] == list(range(20, 28))
-    assert segs[1].node_ids[8:] == [None] * 12
+    assert segs[1].node_ids.tolist() == list(range(20, 28)) + [-1] * 12
     assert segs[1].real_mask.sum() == 8
 
 
@@ -156,8 +162,28 @@ def test_dummy_slots_get_zero_features():
 
 def test_unify_validates_order():
     g = cycle_graph(4)
-    with pytest.raises(ValueError, match="permutation"):
-        unify(g, UnifyPlan(Strategy.FULL_INPUT, 4), order=[0, 1, 1, 2])
+    # a repeat, a missing index, too short, too long
+    for order in ([0, 1, 1, 2], [0, 1, 2, 4], [0, 1, 2], [0, 1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="permutation"):
+            unify(g, UnifyPlan(Strategy.FULL_INPUT, 4), order=order)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_unify_order_array_matches_list(strategy):
+    g = cycle_graph(11)
+    order = [3, 10, 0, 7, 1, 9, 2, 8, 4, 6, 5]
+    plan = UnifyPlan(strategy, 11 if strategy is Strategy.FULL_INPUT else 4)
+    from_list = unify(g, plan, order=order)
+    from_array = unify(g, plan, order=np.array(order, dtype=np.int32))
+    assert [s.node_ids.tolist() for s in from_array] == [s.node_ids.tolist() for s in from_list]
+    assert from_list[0].node_ids[:4].tolist() == order[:4]
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("k", [0, -3])
+def test_unify_rejects_non_positive_k(strategy, k):
+    with pytest.raises(ValueError, match="k must be positive"):
+        unify(cycle_graph(4), UnifyPlan(strategy, k))
 
 
 # ----------------------------------------------------------------------
