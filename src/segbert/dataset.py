@@ -27,7 +27,6 @@ __all__ = [
     "load_tu_dataset",
     "write_tu_dataset",
     "make_folds",
-    "weight_matrix",
 ]
 
 FOLD_COUNT = 10
@@ -81,16 +80,6 @@ class GraphInstance:
         return list(zip(self.arc_rows().tolist(), self.indices.tolist(),
                         self.weights.tolist()))
 
-    def neighbor_sets(self) -> list[set]:
-        ptr, nbrs = self.indptr.tolist(), self.indices.tolist()
-        return [set(nbrs[ptr[i]:ptr[i + 1]]) for i in range(self.node_count)]
-
-    @property
-    def undirected_edge_count(self) -> int:
-        # self-loops appear once in the arc list, other edges twice
-        loops = int(np.count_nonzero(self.arc_rows() == self.indices))
-        return (len(self.indices) - loops) // 2 + loops
-
 
 @dataclass
 class GraphDataset:
@@ -115,13 +104,6 @@ class FoldSplit:
     train: list
     val: list
     test: list
-
-
-def weight_matrix(g: GraphInstance) -> np.ndarray:
-    """Dense node_count x node_count connection-weight matrix."""
-    w = np.zeros((g.node_count, g.node_count))
-    w[g.arc_rows(), g.indices] = g.weights
-    return w
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,6 @@ __all__ = [
     "compute_degrees",
     "compute_wl_codes",
     "dataset_wl_codes",
-    "positional_embedding",
     "sinusoid_rows",
     "build_bundles",
     "dataset_bundles",
@@ -100,18 +99,14 @@ def compute_wl_codes(g: GraphInstance,
 # sinusoidal value embedding
 
 
-def positional_embedding(value: float, d_h: int) -> np.ndarray:
-    """Sinusoid vector of an integer-valued feature.
-
-    Entry 2l is sin(value / 10000^(2l/d_h)) and entry 2l+1 is
-    cos(value / 10000^((2l+1)/d_h)); d_h must be even. Value 0 maps to
-    [0, 1, 0, 1, ...].
-    """
-    return sinusoid_rows(np.array([float(value)]), d_h)[0]
-
-
 def sinusoid_rows(values, d_h: int) -> np.ndarray:
-    """Vectorized positional embedding: (n,) values to an n x d_h array."""
+    """Sinusoid rows of integer-valued features: (n,) values to n x d_h.
+
+    Entry 2l of a row is sin(value / 10000^(2l/d_h)) and entry 2l+1 is
+    cos(value / 10000^((2l+1)/d_h)); d_h must be even. Value 0 maps to
+    [0, 1, 0, 1, ...]. A row depends on its own value only, so the rows
+    of repeated values may be computed once and gathered.
+    """
     if d_h <= 0 or d_h % 2 != 0:
         raise ValueError(f"embedding width must be a positive even number, got {d_h}")
     v = np.asarray(values, dtype=np.float64).reshape(-1, 1)
@@ -164,7 +159,9 @@ class CsrRows:
 
     @staticmethod
     def stack(parts: Sequence["CsrRows"]) -> "CsrRows":
-        """The rows of every part, in order."""
+        """The rows of every part, in order; a single part as it is."""
+        if len(parts) == 1:
+            return parts[0]
         nnz = np.cumsum([0] + [len(p.indices) for p in parts])
         indptr = np.concatenate([p.indptr[:-1] + off for p, off in zip(parts, nnz)]
                                 + [nnz[-1:]])

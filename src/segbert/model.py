@@ -20,6 +20,13 @@ layout. Projections are fused ``linear`` ops and norms are
 residual) and the tape length per batch does not grow with the batch
 size.
 
+Inputs are prepared for the whole dataset in one pass: each graph is
+unified, the slot arrays are joined into one dataset-wide slot -> node
+array, and every channel is gathered through it once. Each distinct
+integer code (degree, WL code, tag) is embedded by one sinusoid call,
+and every graph's GraphInputs holds views of the dataset-wide arrays.
+``prepare_graph`` runs the same pass over a one-graph list.
+
 The adjacency channel is sparse from end to end: each graph's slot
 rows are CSR arrays gathered from its own, a batch stacks them into one
 set of CSR arrays, and ``adj_embed.fc1`` (and the raw residual, when
@@ -256,7 +263,9 @@ class GraphInputs:
     Rows follow slot order (segments concatenated); ``slot_nodes`` gives
     each slot's original node index, -1 at dummy slots. ``real_slots``
     indexes the real rows sorted by original node id, so gathered
-    representations come out in the graph's fixed node order.
+    representations come out in the graph's fixed node order. The row
+    arrays are views of the arrays of the pass that prepared them, so
+    treat them as read-only.
     """
 
     graph: GraphInstance
@@ -275,48 +284,100 @@ class GraphInputs:
 
 def prepare_graph(g: GraphInstance, features: GraphFeatures, plan: UnifyPlan,
                   config: ModelConfig, order=None) -> GraphInputs:
-    if g.node_count == 0:
-        raise ValueError("graph has no nodes: there is nothing to embed or pool")
-    slot_node = np.concatenate([s.node_ids for s in unify(g, plan, order=order)])
-    dummy = slot_node < 0
-    d = config.hidden_dim
-
-    codes = [features.degrees, features.wl_codes]
-    if config.attr_dim == 0 and config.use_tags and features.tags is not None:
-        codes.append(features.tags)
-    # one sinusoid call embeds every integer channel
-    values = np.stack(codes)[:, slot_node].astype(np.float64)
-    values[:, dummy] = 0.0
-    sinusoids = sinusoid_rows(values.reshape(-1), d).reshape(len(codes), -1, d)
-    const = sinusoids[0] + sinusoids[1]
-    if len(codes) == 3:  # tags: no tag term at dummy slots
-        sinusoids[2][dummy] = 0.0
-        const += sinusoids[2]
-    adj = features.adjacency.take(slot_node)
-    attr = None
-    if config.attr_dim > 0:
-        if features.attributes is None:
-            attr = np.zeros((len(slot_node), config.attr_dim))
-        else:
-            attr = features.attributes[slot_node]
-            attr[dummy] = 0.0
-
-    real = np.flatnonzero(~dummy)
-    by_node = np.argsort(slot_node[real], kind="stable")
-    real = real[by_node]
-    return GraphInputs(graph=g, slot_nodes=slot_node, const_rows=const, adj_rows=adj,
-                       attr_rows=attr, real_slots=real, kept_nodes=slot_node[real],
-                       label=g.label)
+    """GraphInputs of one graph: the dataset pass over a one-graph list."""
+    return _prepare([g], [features], plan, config, [order])[0]
 
 
 def prepare_dataset(dataset: GraphDataset, plan: UnifyPlan,
                     config: ModelConfig) -> list:
     """GraphInputs for every graph, with the shared WL dictionary."""
     features = dataset_bundles(dataset, config.n_adj, config.wl_iterations)
-    return [
-        prepare_graph(g, f, plan, config)
-        for g, f in zip(dataset.graphs, features)
-    ]
+    return _prepare(dataset.graphs, features, plan, config)
+
+
+def _check_features(graphs: list, features: list) -> None:
+    """Every graph has nodes, and every feature array one row per node."""
+    for i, (g, f) in enumerate(zip(graphs, features)):
+        n = g.node_count
+        if n == 0:
+            raise ValueError(f"graph has no nodes (graph {i}): there is nothing to embed or pool")
+        for name in ("degrees", "wl_codes", "tags", "attributes"):
+            rows = getattr(f, name)
+            if rows is not None and len(rows) != n:
+                raise ValueError(f"graph {i}: {name} has {len(rows)} rows for {n} nodes")
+        if f.adjacency.row_count != n:
+            raise ValueError(f"graph {i}: adjacency has {f.adjacency.row_count} rows for {n} nodes")
+
+
+def _prepare(graphs: list, features: list, plan: UnifyPlan, config: ModelConfig,
+             orders: list | None = None) -> list:
+    """One pass over every graph. The graphs' slots form one
+    dataset-wide slot -> node array (node ids offset per graph, -1 at
+    dummy slots); every row array is gathered through it once, and each
+    GraphInputs holds views of the dataset-wide results."""
+    _check_features(graphs, features)
+    if not graphs:
+        return []
+    orders = orders or [None] * len(graphs)
+    segments = [unify(g, plan, order=o) for g, o in zip(graphs, orders)]
+    local = np.concatenate([s.node_ids for segs in segments for s in segs])
+    slot_counts = [len(segs) * plan.k for segs in segments]
+    slot_starts = [0, *itertools.accumulate(slot_counts)]
+    node_starts = [0, *itertools.accumulate(g.node_count for g in graphs)]
+    dummy = local < 0
+    nodes = local + np.array(node_starts[:-1]).repeat(slot_counts)
+    nodes[dummy] = -1
+
+    # integer channels, each distinct value embedded once; a dummy slot
+    # reads value 0 and gets no tag term, nor does a graph without tags
+    channels = [[f.degrees for f in features], [f.wl_codes for f in features]]
+    untagged = [f.tags is None for f in features]
+    if config.attr_dim == 0 and config.use_tags and not all(untagged):
+        channels.append([np.zeros(g.node_count, dtype=np.int64) if f.tags is None else f.tags
+                         for g, f in zip(graphs, features)])
+    values = np.concatenate([codes for channel in channels for codes in channel])
+    values = values.reshape(len(channels), -1)[:, nodes]
+    values[:, dummy] = 0
+    distinct, inverse = np.unique(values, return_inverse=True)
+    table, inverse = sinusoid_rows(distinct, config.hidden_dim), inverse.reshape(values.shape)
+    const = table[inverse[0]]
+    const += table[inverse[1]]
+    if len(channels) == 3:
+        no_tag = dummy
+        if any(untagged):
+            no_tag = dummy | np.array(untagged).repeat(slot_counts)
+        tag_rows = table[inverse[2]]
+        tag_rows[no_tag] = 0.0
+        const += tag_rows
+
+    adj = CsrRows.stack([f.adjacency for f in features]).take(nodes)
+    attr = None
+    if config.attr_dim > 0:
+        attr = np.concatenate([np.zeros((g.node_count, config.attr_dim)) if f.attributes is None
+                               else f.attributes for g, f in zip(graphs, features)])[nodes]
+        attr[dummy] = 0.0
+
+    # real slots sorted by dataset-wide node id, so by (graph, node)
+    real = (~dummy).nonzero()[0]
+    key = nodes[real]
+    by_node = key.argsort(kind="stable")
+    real_starts = key.searchsorted(node_starts, sorter=by_node).tolist()
+    real = real[by_node]
+    kept_nodes = local[real]
+
+    adj_starts = adj.indptr[slot_starts].tolist()
+    out = []
+    for i, g in enumerate(graphs):
+        s0, s1 = slot_starts[i], slot_starts[i + 1]
+        r0, r1 = real_starts[i], real_starts[i + 1]
+        a0, a1 = adj_starts[i], adj_starts[i + 1]
+        adj_rows = CsrRows(adj.indptr[s0:s1 + 1] - a0, adj.indices[a0:a1],
+                           adj.weights[a0:a1], adj.width)
+        out.append(GraphInputs(
+            graph=g, slot_nodes=local[s0:s1], const_rows=const[s0:s1], adj_rows=adj_rows,
+            attr_rows=None if attr is None else attr[s0:s1], real_slots=real[r0:r1] - s0,
+            kept_nodes=kept_nodes[r0:r1], label=g.label))
+    return out
 
 
 @dataclass

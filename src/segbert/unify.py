@@ -6,9 +6,12 @@ that one slot -> node array into k-wide segments. FullInput keeps every
 node and pins k to the dataset maximum, so a graph fills one segment;
 PaddingPruning keeps the first k nodes under a per-dataset budget k,
 so one segment too; SegmentShifting keeps every node in ceil(n/k)
-segments. A -1 slot is a dummy: it carries all-zero features, sits at
-the tail of the last segment, takes part in attention like any other
-slot, and is excluded from fusion and losses downstream.
+segments. A -1 slot is a dummy: it sits at the tail of the last
+segment, takes part in attention like any other slot, and is excluded
+from fusion and losses downstream. Its features are those of value 0,
+not all zeros: the degree and WL channels embed 0 (a constant row of
+[0, 2, 0, 2, ...]), while its tag term, adjacency row and attributes
+are zero.
 """
 
 from __future__ import annotations

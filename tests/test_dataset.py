@@ -13,11 +13,11 @@ from segbert.dataset import (
     GraphInstance,
     load_tu_dataset,
     make_folds,
-    weight_matrix,
     write_tu_dataset,
 )
 
 from conftest import synth_dataset
+from graph_helpers import neighbor_sets, undirected_edge_count, weight_matrix
 
 
 def write_files(tmp_path, name="TOY", a=None, indicator=None, labels=None,
@@ -351,8 +351,8 @@ def test_weight_matrix_and_helpers_from_csr():
     assert g.indices.tolist() == [0, 2, 0]
     assert np.array_equal(weight_matrix(g), [[1.0, 0.0, 2.5], [0.0, 0.0, 0.0],
                                              [2.5, 0.0, 0.0]])
-    assert g.neighbor_sets() == [{0, 2}, set(), {0}]
-    assert g.undirected_edge_count == 2
+    assert neighbor_sets(g) == [{0, 2}, set(), {0}]
+    assert undirected_edge_count(g) == 2
     back = GraphInstance(node_count=3, indptr=g.indptr, indices=g.indices,
                          weights=g.weights)
     assert back.edges == [(0, 0, 1.0), (0, 2, 2.5), (2, 0, 2.5)]

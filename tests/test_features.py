@@ -10,12 +10,12 @@ from segbert.features import (
     compute_wl_codes,
     dataset_bundles,
     dataset_wl_codes,
-    positional_embedding,
     sinusoid_rows,
 )
 
 from conftest import (attach_attrs, attach_tags, cycle_graph, path_graph, random_graph,
                       star_graph, synth_dataset)
+from graph_helpers import positional_embedding, undirected_edge_count
 from wl_oracle import brute_force_wl, partition_of
 
 
@@ -49,7 +49,7 @@ def test_degree_sum_is_twice_edge_count():
     for _ in range(50):
         g = random_graph(rng)
         degs = compute_degrees(g)
-        assert degs.sum() == 2 * g.undirected_edge_count
+        assert degs.sum() == 2 * undirected_edge_count(g)
 
 
 # ----------------------------------------------------------------------

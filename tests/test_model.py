@@ -9,7 +9,7 @@ from scipy.special import erf
 
 from segbert.autodiff import Tape, Tensor
 from segbert.dataset import GraphInstance
-from segbert.features import build_bundles, positional_embedding
+from segbert.features import build_bundles
 from segbert.model import (
     BatchData,
     GraphInputs,
@@ -33,6 +33,7 @@ from segbert.model import (
 from segbert.unify import Strategy, UnifyPlan, resolve_plan
 
 from conftest import assert_arena_views, attach_tags, cycle_graph, path_graph, synth_dataset
+from graph_helpers import positional_embedding
 
 
 def tiny_config(**kw):

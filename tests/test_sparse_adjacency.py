@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from segbert.dataset import GraphDataset, GraphInstance, weight_matrix
+from segbert.dataset import GraphDataset, GraphInstance
 from segbert.features import CsrRows, build_bundles
 from segbert.model import (
     ModelConfig,
@@ -24,6 +24,7 @@ from segbert.model import (
 from segbert.unify import Strategy, UnifyPlan, resolve_plan
 
 from conftest import path_graph
+from graph_helpers import weight_matrix
 
 
 def weighted_graph(rng, n: int, p: float = 0.35, label: int = 0) -> GraphInstance:

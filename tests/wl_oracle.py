@@ -10,6 +10,8 @@ early once a round leaves the joint partition of all nodes of all
 graphs unchanged.
 """
 
+from graph_helpers import neighbor_sets
+
 
 def _partition(colors):
     groups = {}
@@ -24,7 +26,7 @@ def _joint_partition(rows):
 
 def brute_force_wl(graphs, iterations):
     """Per-graph lists of canonical tree colors."""
-    nbrs = [g.neighbor_sets() for g in graphs]
+    nbrs = [neighbor_sets(g) for g in graphs]
     results = []
     for g, adj in zip(graphs, nbrs):
         if g.node_tags is not None:
