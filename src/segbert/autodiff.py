@@ -22,8 +22,15 @@ softmax cross-entropy). Adam with decoupled weight decay and global-norm
 clipping live here too; both update a model's flat value and gradient
 vectors, of which its parameter tensors' values and grads are views.
 
-Each op, fused or not, checks its output for NaN and Inf and raises
-``NonFiniteError`` naming itself.
+On a recording tape each op, fused or not, checks its output for NaN
+and Inf and raises ``NonFiniteError`` naming itself. A paused tape
+records nothing and checks nothing per op: ``paused_value`` runs a
+forward on one, checks only its result, and on a non-finite result
+replays the forward on a recording tape so that the error still names
+the first op that went non-finite. A non-finite value that never
+reaches the result (say, a dummy row that a later ``take_rows`` drops)
+is therefore not reported by a paused pass; a recording pass at the
+same parameters still reports it.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ __all__ = [
     "adam_step",
     "ShapeError",
     "NonFiniteError",
+    "paused_value",
 ]
 
 _LAYER_NORM_EPS = 1e-12
@@ -117,11 +125,26 @@ class TapeEntry:
     backward: Callable[[], None]
 
 
-def _check_finite(op: str, arr: np.ndarray) -> None:
+_new_tensor = Tensor.__new__
+
+
+def _op_output(value: np.ndarray) -> Tensor:
+    """The tensor around an op's output. Ops produce float64 2-D arrays,
+    so this skips the validation that ``Tensor.__init__`` does."""
+    t = _new_tensor(Tensor)
+    t.value, t.grad, t.requires_grad, t.name, t._tape = value, None, False, None, None
+    return t
+
+
+def _finite(arr: np.ndarray) -> bool:
     # A NaN or Inf entry makes the sum of squares NaN or Inf, so a finite
     # sum clears the array in one BLAS call; only an infinite sum (Inf
     # entries, or finite ones whose squares overflow) needs the exact test.
-    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
+    return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
+
+
+def _check_finite(op: str, arr: np.ndarray) -> None:
+    if not _finite(arr):
         raise NonFiniteError(f"op {op!r} produced a non-finite value")
 
 
@@ -176,7 +199,10 @@ class Tape:
 
     @contextmanager
     def paused(self):
-        """Context manager that disables recording (for eval passes)."""
+        """Context manager that disables recording (for eval passes).
+
+        Ops on a paused tape neither record nor check their outputs for
+        NaN and Inf; ``paused_value`` checks the result of such a pass."""
         prev = self.recording
         self.recording = False
         try:
@@ -189,14 +215,17 @@ class Tape:
 
     def _record(self, op: str, inputs: tuple[Tensor, ...], value: np.ndarray,
                 backward: Callable[[np.ndarray], None]) -> Tensor:
-        """Wrap ``value`` as the output of ``op``; tape it while recording.
+        """Wrap ``value`` as the output of ``op``; while recording, check
+        it for NaN and Inf and tape it.
 
         ``backward(g)`` pushes the output gradient ``g`` onto the inputs.
         The entry holds it as a function of the output's gradient, which
         the reverse sweep reads when it reaches the entry."""
+        out = _op_output(value)
+        if not self.recording:
+            return out
         _check_finite(op, value)
-        out = Tensor(value)
-        if self.recording and any(t.requires_grad for t in inputs):
+        if any(t.requires_grad for t in inputs):
             out.requires_grad = True
             out._tape = self._ref
             self.entries.append(TapeEntry(op, inputs, out, lambda: backward(out.grad)))
@@ -230,7 +259,7 @@ class Tape:
         products then cost O(non-zeros), and only w and b are inputs.
         """
         w, b = self._coerce(w), self._coerce(b)
-        if sparse.issparse(x):
+        if type(x) is not Tensor and sparse.issparse(x):
             xv, x, inputs = x, None, (w, b)
         else:
             x = self._coerce(x)
@@ -509,7 +538,7 @@ class Tape:
         """Column-wise mean across rows; an n x d input gives 1 x d."""
         a = self._coerce(a)
         n = a.value.shape[0]
-        value = a.value.mean(axis=0, keepdims=True)
+        value = np.add.reduce(a.value, axis=0, keepdims=True) / n
 
         def backward(g):
             if a.requires_grad:
@@ -691,7 +720,8 @@ class Tape:
         if a.value.shape != t.shape:
             raise ShapeError(f"mse: shapes differ: {a.value.shape} vs {t.shape}")
         diff = a.value - t
-        value = np.array([[np.mean(diff * diff)]])
+        # np.mean's arithmetic (sum, then divide) without its Python wrapper
+        value = np.add.reduce(diff * diff, axis=None, keepdims=True) / diff.size
 
         def backward(g):
             if a.requires_grad:
@@ -740,6 +770,25 @@ class Tape:
         for entry in reversed(self.entries):
             if entry.output.grad is not None:
                 entry.backward()
+
+
+def paused_value(run: Callable[[Tape], Tensor], seed: int | None = None) -> Tensor:
+    """``run(tape)`` on a paused ``Tape(seed)``, its result checked once.
+
+    The paused pass records nothing and its ops check nothing. When the
+    tensor ``run`` returns holds NaN or Inf, ``run`` is replayed on a
+    recording ``Tape(seed)``, which draws the same dropout masks and
+    whose per-op checks raise ``NonFiniteError`` naming the first op
+    that produced a non-finite value. Only what reaches the result is
+    checked: a non-finite value that a later op drops is not reported.
+    """
+    tape = Tape(seed)
+    tape.recording = False
+    out = run(tape)
+    if not _finite(out.value):
+        run(Tape(seed))
+        raise NonFiniteError("a paused pass returned a non-finite value that no op produced")
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,13 @@ perturbed by a central step and compared against the tape's analytic
 gradient. ``finite_difference_check`` is that comparison for any loss
 built on a tape, so tests can run it on batched, segmented and
 pre-training losses too.
+
+The analytic pass records, so every op output is checked for NaN and
+Inf as in training. The finite-difference evaluations run on paused
+tapes, whose ops check nothing: ``paused_value`` checks each loss once
+and, on a non-finite loss, replays that evaluation on a recording tape
+so that ``NonFiniteError`` names the op. A non-finite value that does
+not reach a perturbed loss goes unreported there.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, paused_value
 from .dataset import GraphInstance
 from .features import build_bundles
 from .model import (
@@ -132,8 +139,9 @@ def finite_difference_check(params: ModelParams, run_loss) -> GradCheckReport:
     Each evaluation runs on a fresh tape with the same seed, so training
     mode draws the same dropout masks every time and the loss stays a
     deterministic function of the parameters. Only the analytic pass
-    records; the finite-difference evaluations run on paused tapes,
-    which compute the same values and masks without taping entries.
+    records; the finite-difference evaluations run through
+    ``paused_value``, which computes the same values and masks without
+    taping entries and checks only the loss.
     """
     params.zero_grads()
     tape = Tape(seed=0)
@@ -141,9 +149,7 @@ def finite_difference_check(params: ModelParams, run_loss) -> GradCheckReport:
     analytic = params.grads.copy()
 
     def loss_value() -> float:
-        tape = Tape(seed=0)
-        with tape.paused():
-            return float(run_loss(tape).value[0, 0])
+        return float(paused_value(run_loss, seed=0).value[0, 0])
 
     values = params.values
     numeric = np.empty_like(values)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ __all__ = [
     "ModelParams",
     "GraphInputs",
     "BatchData",
-    "GraphOutput",
     "config_for",
     "init_params",
     "prepare_graph",
@@ -63,7 +62,6 @@ __all__ = [
     "initial_embedding",
     "transformer_layer",
     "encode",
-    "forward_graph",
     "classify_batch",
     "reconstruct_attributes",
     "recover_structure",
@@ -489,30 +487,6 @@ def encode(tape: Tape, params: ModelParams, config: ModelConfig,
     for l in range(config.layer_count):
         h = transformer_layer(tape, params, config, h, l, training, res_term)
     return h
-
-
-@dataclass
-class GraphOutput:
-    h_final: Tensor
-    z: Tensor
-    y_hat: Tensor
-
-
-def forward_graph(params: ModelParams, config: ModelConfig, gi: GraphInputs,
-                  training: bool = False, tape: Tape | None = None) -> GraphOutput:
-    """Reference single-graph forward pass.
-
-    h_final holds one row per kept node, ordered by original node id;
-    z is their mean; y_hat the softmax class distribution.
-    """
-    tape = tape or Tape()
-    batch = build_batch([gi], config.class_count)
-    h = encode(tape, params, config, batch, training)
-    h_final = tape.take_rows(h, batch.real_slot_lists[0])
-    z = tape.mean_rows(h_final)
-    logits = _linear(tape, params, "classifier", z)
-    y_hat = tape.softmax_rows(logits)
-    return GraphOutput(h_final=h_final, z=z, y_hat=y_hat)
 
 
 def classify_batch(tape: Tape, params: ModelParams, config: ModelConfig,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import AdamState, Tape, adam_step, clip_global_norm
+from .autodiff import AdamState, Tape, adam_step, clip_global_norm, paused_value
 from .dataset import FoldSplit, GraphDataset, make_folds
 from .model import (
     ModelConfig,
@@ -220,18 +220,20 @@ def evaluate_accuracy(params: ModelParams, config: ModelConfig, inputs: list,
     the (graphs, heads, k, k) attention scores and the graphs x slots
     pooling matrix, near cache size whatever the graphs' size: 256
     graphs of 100 slots made each of those arrays 40-50 MB.
+
+    Each batch runs through ``paused_value``: only its logits are
+    checked for NaN and Inf, and non-finite logits replay the batch on
+    a recording tape, whose error names the op that overflowed.
     """
     indices = np.asarray(indices, dtype=int)
     if indices.size == 0:
         raise ValueError("cannot evaluate an empty index set")
-    tape = Tape()
     correct = 0
-    with tape.paused():
-        chunks = _slot_chunks(inputs, indices, EVAL_SLOTS)
-        for batch in _batches(inputs, chunks, config.class_count):
-            _, logits = classify_batch(tape, params, config, batch,
-                                       training=False)
-            correct += _correct(logits, batch)
+    chunks = _slot_chunks(inputs, indices, EVAL_SLOTS)
+    for batch in _batches(inputs, chunks, config.class_count):
+        logits = paused_value(
+            lambda tape: classify_batch(tape, params, config, batch, training=False)[1])
+        correct += _correct(logits, batch)
     return correct / indices.size
 
 

@@ -1,9 +1,13 @@
-"""Small graph and embedding helpers that only the tests use."""
+"""Small graph, embedding and forward helpers that only the tests use."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from segbert.autodiff import Tape, Tensor
 from segbert.dataset import GraphInstance
 from segbert.features import sinusoid_rows
+from segbert.model import GraphInputs, ModelConfig, ModelParams, build_batch, encode
 
 
 def positional_embedding(value: float, d_h: int) -> np.ndarray:
@@ -32,3 +36,27 @@ def undirected_edge_count(g: GraphInstance) -> int:
     # self-loops appear once in the arc list, other edges twice
     loops = int(np.count_nonzero(g.arc_rows() == g.indices))
     return (len(g.indices) - loops) // 2 + loops
+
+
+@dataclass
+class GraphOutput:
+    h_final: Tensor
+    z: Tensor
+    y_hat: Tensor
+
+
+def forward_graph(params: ModelParams, config: ModelConfig, gi: GraphInputs,
+                  training: bool = False, tape: Tape | None = None) -> GraphOutput:
+    """Reference single-graph forward pass.
+
+    h_final holds one row per kept node, ordered by original node id;
+    z is their mean; y_hat the softmax class distribution.
+    """
+    tape = tape or Tape()
+    batch = build_batch([gi], config.class_count)
+    h = encode(tape, params, config, batch, training)
+    h_final = tape.take_rows(h, batch.real_slot_lists[0])
+    z = tape.mean_rows(h_final)
+    logits = tape.linear(z, params["classifier.weight"], params["classifier.bias"])
+    y_hat = tape.softmax_rows(logits)
+    return GraphOutput(h_final=h_final, z=z, y_hat=y_hat)

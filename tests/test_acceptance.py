@@ -20,13 +20,13 @@ from segbert.features import dataset_bundles, dataset_wl_codes
 from segbert.gradcheck import model_gradcheck
 from segbert.model import (
     config_for,
-    forward_graph,
     init_params,
     prepare_graph,
     recover_structure,
 )
 from segbert.training import TrainConfig, default_learning_rate, run_cv
 from segbert.unify import Strategy, UnifyPlan, resolve_plan, segment_count, unify
+from graph_helpers import forward_graph
 from wl_oracle import brute_force_wl, partition_of
 
 

@@ -18,7 +18,6 @@ from segbert.model import (
     classify_batch,
     config_for,
     encode,
-    forward_graph,
     init_params,
     initial_embedding,
     load_checkpoint,
@@ -33,7 +32,7 @@ from segbert.model import (
 from segbert.unify import Strategy, UnifyPlan, resolve_plan
 
 from conftest import assert_arena_views, attach_tags, cycle_graph, path_graph, synth_dataset
-from graph_helpers import positional_embedding
+from graph_helpers import forward_graph, positional_embedding
 
 
 def tiny_config(**kw):

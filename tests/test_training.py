@@ -11,12 +11,12 @@ import pytest
 
 import segbert.training as training
 from conftest import assert_arena_views, synth_dataset
+from graph_helpers import forward_graph
 from segbert.autodiff import Tape
 from segbert.dataset import FoldSplit, make_folds
 from segbert.features import build_bundles
 from segbert.model import (
     config_for,
-    forward_graph,
     init_params,
     prepare_dataset,
     prepare_graph,
