@@ -4,10 +4,13 @@ A dataset directory holds ``<name>_A.txt`` (one directed arc per line,
 1-based global node ids), ``<name>_graph_indicator.txt`` (graph id per
 node), ``<name>_graph_labels.txt`` (label per graph) and optionally
 ``<name>_node_labels.txt`` / ``<name>_node_attributes.txt``. The loader
-parses each file in one pass, converts global ids to per-graph local
-indices, drops duplicate arcs (with a warning naming the line),
-completes symmetric storage, and remaps class labels and node tags to
-dense 0-based ranges. Every arc has weight 1.0.
+reads each file with one np.loadtxt call (a file with whitespace-only
+lines still loads), rejects bad values, ragged rows, ids out of range
+or across graphs and non-finite attributes with an error naming
+``file:line``, converts global ids to per-graph local indices, drops
+duplicate arcs (with a warning naming the line), completes symmetric
+storage, and remaps class labels and node tags to dense 0-based ranges.
+Every arc has weight 1.0.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ FOLD_COUNT = 10
 
 
 class DatasetError(Exception):
-    """Malformed or missing dataset files; message names file and line."""
+    """Missing or malformed dataset files; a bad line is named ``file:line``."""
 
 
 def _csr_from_arcs(n: int, edges) -> tuple:
@@ -107,31 +110,33 @@ class FoldSplit:
 
 
 # ----------------------------------------------------------------------
-# loading: one np.loadtxt call per file; if it fails or a check finds
-# a bad value, the line reader runs only to name the offending line
-
-
-def _read_lines(path: str) -> list[str]:
-    if not os.path.isfile(path):
-        raise DatasetError(f"missing dataset file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
+# loading: each file is one np.loadtxt call, or one walk over its lines
+# when np.loadtxt rejects it; every check then runs once, as a mask on
+# the parsed table. Table row r is the r-th non-blank line of the file,
+# so the file is read again only to name the line of a failed check.
 
 
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
-def _parse_int(text: str, path: str, lineno: int, what: str) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise DatasetError(
-            f"{path}:{lineno}: expected an integer {what}, got {text.strip()!r}"
-        ) from None
+def _lines(path: str) -> list:
+    """(line number, stripped text) of every non-blank line of the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [(n, text.strip()) for n, text in enumerate(fh.read().split("\n"), start=1)
+                if text.strip()]
 
 
-def _load_table(path: str, dtype, columns: int | None = None):
-    """Whole-file parse of comma-separated values; None if irregular."""
+def _table(path: str, what: str, dtype=np.int64, columns: int | None = 1,
+           form: str = "", overflow: int | None = None) -> np.ndarray:
+    """Comma-separated ``what`` values of one file as a 2-D array.
+
+    A file np.loadtxt rejects, or whose column count is not ``columns``,
+    is walked over its non-blank lines. It loads if whitespace-only
+    lines were its only fault. Otherwise the first bad line raises: a
+    field count other than ``columns`` (None: the first line's) as
+    "expected ``form``", a field that is not a ``what``, or an integer
+    past int64, which reads as ``overflow`` instead when that is given.
+    """
     if not os.path.isfile(path):
         raise DatasetError(f"missing dataset file: {path}")
     try:
@@ -139,60 +144,33 @@ def _load_table(path: str, dtype, columns: int | None = None):
             warnings.simplefilter("ignore", UserWarning)  # empty file
             table = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2,
                                comments=None, encoding="utf-8")
+        if columns in (None, table.shape[1]):
+            return table
     except ValueError:
-        return None
-    if columns is not None and table.size == 0:
-        return table.reshape(0, columns)
-    if columns is not None and table.shape[1] != columns:
-        return None
-    return table
-
-
-def _int_column(path: str, what: str, count: int | None = None,
-                noun: str = "", of: str = "") -> np.ndarray:
-    """One integer per non-blank line; ``count`` lines expected if given,
-    and then error line numbers count only the non-blank lines."""
-    table = _load_table(path, np.int64, 1)
-    lines = [] if table is not None else [
-        (i, ln) for i, ln in enumerate(_read_lines(path), start=1) if ln.strip()]
-    found = len(lines) if table is None else len(table)
-    if count is not None and found != count:
-        raise DatasetError(f"{path}: {found} {noun} for {count} {of}")
-    if table is not None:
-        return table[:, 0]
-    if count is not None:
-        lines = [(i, ln) for i, (_, ln) in enumerate(lines, start=1)]
-    values = [_parse_int(ln, path, i, what) for i, ln in lines]
-    for (i, _), value in zip(lines, values):
-        if not _INT64_MIN <= value <= _INT64_MAX:
-            raise DatasetError(f"{path}:{i}: {what} {value} does not fit in 64 bits")
-    return np.array(values, dtype=np.int64)
-
-
-def _scan_arcs(path: str, graph_of: list) -> np.ndarray:
-    """Line-by-line arc reader: raises at the first bad line, warns per
-    duplicate arc, and returns the (u, v) rows."""
-    n_nodes = len(graph_of)
-    seen: set = set()
+        pass
+    lines = _lines(path)
+    width = columns or (len(lines[0][1].split(",")) if lines else 1)
+    parse, kind = (int, "an integer") if dtype is np.int64 else (float, "a real")
     rows = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise DatasetError(f"{path}:{lineno}: expected 'i, j', got {line.strip()!r}")
-        u = _parse_int(parts[0], path, lineno, "node id")
-        v = _parse_int(parts[1], path, lineno, "node id")
-        if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
-            raise DatasetError(f"{path}:{lineno}: node id out of range 1..{n_nodes}")
-        gu, gv = graph_of[u - 1], graph_of[v - 1]
-        if gu != gv:
-            raise DatasetError(f"{path}:{lineno}: edge joins graphs {gu + 1} and {gv + 1}")
-        if (u, v) in seen:
-            warnings.warn(f"{path}:{lineno}: duplicate edge ({u}, {v})", stacklevel=3)
-        seen.add((u, v))
-        rows.append((u, v))
-    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+    for n, text in lines:
+        # a one-value line is not split: "1, 2" is then not a ``what``
+        fields = [text] if width == 1 else text.split(",")
+        if len(fields) != width:
+            raise DatasetError(f"{path}:{n}: expected {form or f'{width} values'}, got {text!r}")
+        row = []
+        for token in fields:
+            try:
+                value = parse(token)
+            except ValueError:
+                raise DatasetError(
+                    f"{path}:{n}: expected {kind} {what}, got {token.strip()!r}") from None
+            if parse is int and not _INT64_MIN <= value <= _INT64_MAX:
+                if overflow is None:
+                    raise DatasetError(f"{path}:{n}: {what} {value} does not fit in 64 bits")
+                value = overflow
+            row.append(value)
+        rows.append(row)
+    return np.array(rows, dtype=dtype).reshape(-1, width)
 
 
 def _dense_map(values: np.ndarray) -> tuple:
@@ -209,7 +187,7 @@ def load_tu_dataset(directory: str, name: str) -> GraphDataset:
     indicator_path = prefix + "_graph_indicator.txt"
     edges_path = prefix + "_A.txt"
 
-    node_graph = _int_column(indicator_path, "graph id")
+    node_graph = _table(indicator_path, "graph id")[:, 0]
     n_nodes = len(node_graph)
     if n_nodes == 0:
         raise DatasetError(f"{indicator_path}: no nodes listed")
@@ -235,44 +213,62 @@ def load_tu_dataset(directory: str, name: str) -> GraphDataset:
     position[by_graph] = np.arange(n_nodes)
     local = position - starts[node_graph]
 
-    raw_labels = _int_column(prefix + "_graph_labels.txt", "graph label",
-                             graph_count, "labels", "graphs")
+    labels_path = prefix + "_graph_labels.txt"
+    raw_labels = _table(labels_path, "graph label")[:, 0]
+    if len(raw_labels) != graph_count:
+        raise DatasetError(f"{labels_path}: {len(raw_labels)} labels for {graph_count} graphs")
     label_map, labels = _dense_map(raw_labels)
 
-    arcs = _load_table(edges_path, np.int64, 2)
-    if arcs is not None:
-        u, v = arcs[:, 0] - 1, arcs[:, 1] - 1
-        regular = bool(((u >= 0) & (u < n_nodes) & (v >= 0) & (v < n_nodes)).all())
-        if regular:
-            key = np.sort(u * n_nodes + v)
-            regular = bool((node_graph[u] == node_graph[v]).all()
-                           and (key[1:] != key[:-1]).all())
-    if arcs is None or not regular:
-        arcs = _scan_arcs(edges_path, node_graph.tolist())
+    # an id past int64 reads as 0, out of range like any id past n_nodes.
+    # The earliest bad arc wins, whether out of range or across graphs;
+    # node 1 stands in for an id outside. Per-arc temporaries stay
+    # unnamed, so their memory is reused (~25 ms on 1.4M arcs).
+    u, v = _table(edges_path, "node id", columns=2, form="'i, j'", overflow=0).T - 1
+    inside = (u >= 0) & (u < n_nodes) & (v >= 0) & (v < n_nodes)
+    bad = ~inside | (node_graph[u * inside] != node_graph[v * inside])
+    if bad.any():
+        row = int(np.argmax(bad))
+        problem = (f"edge joins graphs {node_graph[u[row]] + 1} and {node_graph[v[row]] + 1}"
+                   if inside[row] else f"node id out of range 1..{n_nodes}")
+        raise DatasetError(f"{edges_path}:{_lines(edges_path)[row][0]}: {problem}")
+    if not np.diff(np.sort(u * n_nodes + v)).all():
+        key = u * n_nodes + v
+        order = np.argsort(key, kind="stable")  # the first of equal arcs is kept
+        repeat = np.zeros(len(key), dtype=bool)
+        repeat[order[1:]] = np.diff(key[order]) == 0
+        lines = _lines(edges_path)
+        for row in np.flatnonzero(repeat):
+            warnings.warn(f"{edges_path}:{lines[row][0]}: duplicate edge "
+                          f"({u[row] + 1}, {v[row] + 1})", stacklevel=2)
 
     tags_path = prefix + "_node_labels.txt"
     tags = None
     tag_map: dict = {}
     if os.path.isfile(tags_path):
-        raw_tags = _int_column(tags_path, "node tag", n_nodes, "tags", "nodes")
+        raw_tags = _table(tags_path, "node tag")[:, 0]
+        if len(raw_tags) != n_nodes:
+            raise DatasetError(f"{tags_path}: {len(raw_tags)} tags for {n_nodes} nodes")
         tag_map, tags = _dense_map(raw_tags)
         tags = tags[by_graph].tolist()
 
     attrs_path = prefix + "_node_attributes.txt"
     attrs = None
     if os.path.isfile(attrs_path):
-        attrs = _load_table(attrs_path, np.float64)
-        if attrs is None or len(attrs) != n_nodes:
-            attrs = _scan_attributes(attrs_path, n_nodes)
+        attrs = _table(attrs_path, "node attribute", np.float64, columns=None)
+        if len(attrs) != n_nodes:
+            raise DatasetError(f"{attrs_path}: {len(attrs)} attribute rows for {n_nodes} nodes")
+        finite = np.isfinite(attrs).all(axis=1)
+        if not finite.all():
+            n, text = _lines(attrs_path)[int(np.argmin(finite))]
+            raise DatasetError(f"{attrs_path}:{n}: non-finite attribute in {text!r}")
         attrs = attrs[by_graph]
 
     # symmetric completion: both directions of every arc as one int64
     # key (graph-major row, local column), sorted, repeats masked out
-    u, v = arcs[:, 0] - 1, arcs[:, 1] - 1
     width = int(counts.max())
     key = np.sort(np.concatenate([position[u] * width + local[v],
                                   position[v] * width + local[u]]))
-    key = key[np.append(True, key[1:] != key[:-1])]
+    key = key[np.append(True, key[1:] != key[:-1])] if len(key) else key
     rows, cols = np.divmod(key, width)
     row_ptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_nodes), out=row_ptr[1:])
@@ -299,25 +295,6 @@ def load_tu_dataset(directory: str, name: str) -> GraphDataset:
         label_map=label_map,
         tag_map=tag_map,
     )
-
-
-def _scan_attributes(path: str, n_nodes: int) -> np.ndarray:
-    """Line-by-line attribute reader with per-line error messages."""
-    lines = [ln for ln in _read_lines(path) if ln.strip()]
-    if len(lines) != n_nodes:
-        raise DatasetError(f"{path}: {len(lines)} attribute rows for {n_nodes} nodes")
-    rows = []
-    for i, line in enumerate(lines):
-        try:
-            rows.append([float(p) for p in line.split(",")])
-        except ValueError:
-            raise DatasetError(
-                f"{path}:{i + 1}: malformed attribute row {line.strip()!r}") from None
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DatasetError(f"{path}:{i + 1}: expected {width} values, got {len(row)}")
-    return np.asarray(rows, dtype=np.float64)
 
 
 # ----------------------------------------------------------------------

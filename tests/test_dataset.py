@@ -234,15 +234,17 @@ def test_fold_ratio_roughly_8_1_1():
 
 
 # ----------------------------------------------------------------------
-# irregular files: the whole-file parse falls back to the line reader
+# irregular files: np.loadtxt rejects them, and the line walker loads
+# them or names the first bad line
 
 
 def write_raw(tmp_path, a, indicator="1\n1\n2\n2\n", labels="0\n1\n",
-              node_labels=None, name="RAW"):
+              node_labels=None, node_attrs=None, name="RAW"):
     """Write the files verbatim, so line endings and blanks are exact."""
     tmp_path.mkdir(parents=True, exist_ok=True)
     for suffix, text in (("A", a), ("graph_indicator", indicator),
-                         ("graph_labels", labels), ("node_labels", node_labels)):
+                         ("graph_labels", labels), ("node_labels", node_labels),
+                         ("node_attributes", node_attrs)):
         if text is not None:
             (tmp_path / f"{name}_{suffix}.txt").write_bytes(text.encode())
     return str(tmp_path), str(tmp_path / f"{name}_A.txt")
@@ -289,6 +291,86 @@ def test_loader_range_and_crossing_errors_name_their_line(tmp_path):
     with pytest.raises(DatasetError) as err:
         load_tu_dataset(d, "RAW")
     assert str(err.value) == f"{path}:2: edge joins graphs 1 and 2"
+    # the earliest bad line wins, whichever check it fails
+    d, path = write_raw(tmp_path / "c", "1, 2\n2, 3\n1, 9\n")
+    with pytest.raises(DatasetError) as err:
+        load_tu_dataset(d, "RAW")
+    assert str(err.value) == f"{path}:2: edge joins graphs 1 and 2"
+    d, path = write_raw(tmp_path / "d", "1, 2\n\n1, 9\n2, 3\n")
+    with pytest.raises(DatasetError) as err:
+        load_tu_dataset(d, "RAW")
+    assert str(err.value) == f"{path}:3: node id out of range 1..4"
+
+
+@pytest.mark.parametrize("files, message", [
+    (dict(labels="0\n\nx\n"), "graph_labels.txt:3: expected an integer graph label, got 'x'"),
+    (dict(node_labels="1\n2\n\nx\n4\n"),
+     "node_labels.txt:4: expected an integer node tag, got 'x'"),
+    (dict(node_attrs="1.0\n \n2.0\ny\n3.0\n"),
+     "node_attributes.txt:4: expected a real node attribute, got 'y'"),
+], ids=["graph-label", "node-tag", "attribute"])
+def test_loader_bad_value_after_blank_line_names_its_line(tmp_path, files, message):
+    d, _ = write_raw(tmp_path, "1, 2\n3, 4\n", **files)
+    with pytest.raises(DatasetError) as err:
+        load_tu_dataset(d, "RAW")
+    assert str(err.value) == f"{d}/RAW_{message}"
+
+
+@pytest.mark.parametrize("attrs, message", [
+    ("1.0, 2.0\n1.5, x\n2.0, 3.0\n4.0, 5.0\n", ":2: expected a real node attribute, got 'x'"),
+    ("1.0, 2.0\n1.5, 2.5\n\n2.0\n4.0, 5.0\n", ":4: expected 2 values, got '2.0'"),
+    ("1.0, 2.0\n1.5, 2.5\n2.0, 3.0\n", ": 3 attribute rows for 4 nodes"),
+    ("1.0, 2.0\n\n1.5, 2.5\n2.0, nan\n4.0, 5.0\n", ":4: non-finite attribute in '2.0, nan'"),
+    ("1.0, 2.0\n1.5, 2.5\n2.0, 3.0\n-inf, 5.0\n", ":4: non-finite attribute in '-inf, 5.0'"),
+    ("1.0, 2.0\n1.5, 2.5\n  \n2.0, 3.0\n\t\n4.0, inf", ":6: non-finite attribute in '4.0, inf'"),
+], ids=["not-a-number", "ragged", "row-count", "nan", "minus-inf", "inf-after-spaces"])
+def test_loader_bad_attribute_file(tmp_path, attrs, message):
+    d, _ = write_raw(tmp_path, "1, 2\n3, 4\n", node_attrs=attrs)
+    with pytest.raises(DatasetError) as err:
+        load_tu_dataset(d, "RAW")
+    assert str(err.value) == f"{d}/RAW_node_attributes.txt{message}"
+
+
+def test_loader_attributes_with_whitespace_lines_load(tmp_path):
+    rows = [[1.0, 2.0], [1.5, 2.5], [0.1, -3e-7], [4.0, 5.0]]
+    d, _ = write_raw(tmp_path, "1, 2\n3, 4\n",
+                     node_attrs="1.0, 2.0\n \n1.5,2.5\r\n\t\n 0.1 , -3e-7\n4.0, 5.0")
+    ds = load_tu_dataset(d, "RAW")
+    assert ds.attr_dim == 2
+    assert np.array_equal(np.vstack([g.node_attributes for g in ds.graphs]), rows)
+
+
+@pytest.mark.parametrize("a", ["", "\n\n", " \n"], ids=["empty", "newlines", "spaces"])
+def test_loader_set_without_arcs(tmp_path, a):
+    d, _ = write_raw(tmp_path, a)
+    ds = load_tu_dataset(d, "RAW")
+    assert [(g.node_count, g.edges, g.label) for g in ds.graphs] == [(2, [], 0), (2, [], 1)]
+    assert [g.indptr.tolist() for g in ds.graphs] == [[0, 0, 0], [0, 0, 0]]
+
+
+def test_regular_files_take_one_loadtxt_call_each(tmp_path, monkeypatch):
+    import segbert.dataset as dataset
+
+    d = write_files(tmp_path, **TRIANGLE_PLUS_EDGE,
+                    node_labels=["7", "7", "9", "9", "7"],
+                    node_attrs=["0.5, 1.0", "0.25, 2.0", "0.125, 3.0",
+                                "1.5, 4.0", "2.5, 5.0"])
+    loaded = []
+    loadtxt = np.loadtxt
+
+    def counting_loadtxt(path, *args, **kwargs):
+        loaded.append(os.path.basename(path))
+        return loadtxt(path, *args, **kwargs)
+
+    def no_walk(path):
+        raise AssertionError(f"line walker ran on {path}")
+
+    monkeypatch.setattr(dataset.np, "loadtxt", counting_loadtxt)
+    monkeypatch.setattr(dataset, "_lines", no_walk)
+    ds = load_tu_dataset(d, "TOY")
+    assert sorted(loaded) == sorted(f"TOY_{s}.txt" for s in (
+        "A", "graph_indicator", "graph_labels", "node_labels", "node_attributes"))
+    assert (ds.tag_vocab_size, ds.attr_dim) == (2, 2)
 
 
 HUGE = "99999999999999999999"  # past int64
@@ -296,7 +378,7 @@ HUGE = "99999999999999999999"  # past int64
 
 @pytest.mark.parametrize("suffix, files, message", [
     ("graph_indicator", dict(indicator=f"1\n1\n{HUGE}\n2\n"), f"3: graph id {HUGE}"),
-    ("graph_labels", dict(labels=f"0\n\n{HUGE}\n"), f"2: graph label {HUGE}"),
+    ("graph_labels", dict(labels=f"0\n\n{HUGE}\n"), f"3: graph label {HUGE}"),
     ("node_labels", dict(node_labels=f"1\n2\n-{HUGE}\n4\n"), f"3: node tag -{HUGE}"),
 ], ids=["indicator", "graph-label", "node-label"])
 def test_loader_integer_past_int64_names_its_line(tmp_path, suffix, files, message):
