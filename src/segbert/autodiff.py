@@ -8,26 +8,34 @@ the inputs. Program order is a valid topological order, so ``backward``
 just walks the entries once in reverse.
 
 The op set is exactly what a segmented graph transformer needs. The
-model records three fused ops: ``linear`` (matrix product plus a bias
-row, whose input may also be a constant scipy sparse matrix),
-``affine_layer_norm`` (row normalization, gain and bias) and
-``multi_head_attention`` (per-segment scaled dot-product attention of
-all heads, with the softmax and attention dropout inside). Alongside
-them sit the primitives: matrix products (including block-diagonal
-ones for per-segment attention), broadcasting add/multiply, scaling,
-row-wise softmax and layer norm, GELU and ReLU, inverted dropout, row
-gathering, column slicing and concatenation, row means, row-pair
-cosine similarity, and the two loss reductions (mean squared error,
-softmax cross-entropy). Adam with decoupled weight decay and global-norm
-clipping live here too; both update a model's flat value and gradient
-vectors, of which its parameter tensors' values and grads are views.
+model's layers record three fused ops: ``attention_block`` (the query,
+key and value projections, per-segment scaled dot-product attention of
+all heads with the softmax and attention dropout inside, and the output
+projection), ``mlp`` (linear, exact GELU, linear) and
+``add_layer_norm`` (a residual add, then row normalization, gain and
+bias). Each does exactly the arithmetic of its primitives, in the same
+order, including the order in which its reverse pass adds into a
+shared input; the attention, GELU and affine-norm math each live once,
+in private kernels that the fused ops and the primitives
+``multi_head_attention``, ``gelu`` and ``affine_layer_norm`` share.
+``linear`` (matrix product plus a bias row) and ``mlp`` also take a
+constant scipy sparse matrix as their input. Alongside them sit the
+other primitives: matrix products (including block-diagonal ones for
+per-segment attention), broadcasting add/multiply, scaling, row-wise
+softmax and layer norm, ReLU, inverted dropout, row gathering, column
+slicing and concatenation, row means, row-pair cosine similarity, and
+the two loss reductions (mean squared error, softmax cross-entropy).
+Adam with decoupled weight decay and global-norm clipping live here
+too; both update a model's flat value and gradient vectors, of which
+its parameter tensors' values and grads are views.
 
 On a recording tape each op, fused or not, checks its output for NaN
-and Inf and raises ``NonFiniteError`` naming itself. A paused tape
-records nothing and checks nothing per op: ``paused_value`` runs a
-forward on one, checks only its result, and on a non-finite result
-replays the forward on a recording tape so that the error still names
-the first op that went non-finite. A non-finite value that never
+and Inf and raises ``NonFiniteError`` naming itself; a value that goes
+non-finite inside a fused op is reported under the fused op's name. A
+paused tape records nothing and checks nothing per op: ``paused_value``
+runs a forward on one, checks only its result, and on a non-finite
+result replays the forward on a recording tape so that the error still
+names the first op that went non-finite. A non-finite value that never
 reaches the result (say, a dummy row that a later ``take_rows`` drops)
 is therefore not reported by a paused pass; a recording pass at the
 same parameters still reports it.
@@ -169,6 +177,138 @@ def _normalize_rows_grad(g: np.ndarray, y: np.ndarray, inv: np.ndarray) -> np.nd
     return inv * (g - _row_mean(g) - y * _row_mean(g * y))
 
 
+# ----------------------------------------------------------------------
+# kernels: the arithmetic that a primitive op and a fused op share. Each
+# returns its output and a gradient function, which maps the output
+# gradient to the gradients of its array inputs (None where not asked
+# for) and adds into the parameter tensors it was given on the way.
+
+
+def _linear(op: str, xv, w: Tensor, b: Tensor) -> tuple:
+    """xv @ w plus the bias row b. The gradient function returns the
+    input gradient when asked for it."""
+    if xv.shape[1] != w.value.shape[0]:
+        raise ShapeError(f"{op}: inner dimensions differ: {xv.shape} vs {w.value.shape}")
+    if b.value.shape != (1, w.value.shape[1]):
+        raise ShapeError(
+            f"{op}: bias shape {b.value.shape} does not match weight {w.value.shape}")
+    value = xv @ w.value
+    value += b.value
+
+    def grads(g, need_x: bool):
+        gx = g @ w.value.T if need_x else None
+        if w.requires_grad:
+            w._accumulate(xv.T @ g)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0, keepdims=True))
+        return gx
+
+    return value, grads
+
+
+def _gelu(x: np.ndarray) -> tuple:
+    """Exact GELU, x * Phi(x) with the Gaussian CDF."""
+    cdf = 0.5 * (1.0 + erf(x / _SQRT_2))
+
+    def grad(g):
+        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+        return g * (cdf + x * pdf)
+
+    return x * cdf, grad
+
+
+def _affine_norm(op: str, x: np.ndarray, gain: Tensor, bias: Tensor) -> tuple:
+    """Row layer norm of x, times the gain row, plus the bias row."""
+    row = (1, x.shape[1])
+    if gain.value.shape != row or bias.value.shape != row:
+        raise ShapeError(
+            f"{op}: gain {gain.value.shape} and bias "
+            f"{bias.value.shape} must both be {row} for input {x.shape}")
+    y, inv = _normalize_rows(x)
+    value = y * gain.value
+    value += bias.value
+
+    def grads(g, need_x: bool):
+        if bias.requires_grad:
+            bias._accumulate(g.sum(axis=0, keepdims=True))
+        if gain.requires_grad:
+            gain._accumulate((g * y).sum(axis=0, keepdims=True))
+        return _normalize_rows_grad(g * gain.value, y, inv) if need_x else None
+
+    return value, grads
+
+
+def _check_rate(rate: float) -> None:
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+
+
+def _block_count(op: str, rows: int, block: int) -> int:
+    if block <= 0 or rows % block != 0:
+        raise ShapeError(f"{op}: row count {rows} is not a multiple of block {block}")
+    return rows // block
+
+
+def _attention(op: str, q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
+               block: int, rate: float, draw) -> tuple:
+    """Scaled dot-product attention per segment of ``block`` rows and
+    per head, with inverted attention dropout when ``draw`` (the tape
+    RNG's ``random``) is given. The gradient function takes the output
+    gradient and whether the value and the query/key gradients are
+    needed, and returns (gq, gk, gv), None where not needed."""
+    if q.shape != k.shape or q.shape != v.shape:
+        raise ShapeError(
+            f"{op}: shapes differ: q {q.shape}, k {k.shape}, v {v.shape}")
+    s = _block_count(op, q.shape[0], block)
+    d = q.shape[1]
+    if heads <= 0 or d % heads != 0:
+        raise ShapeError(f"{op}: {heads} heads do not divide width {d}")
+    _check_rate(rate)
+    d_head = d // heads
+    c = 1.0 / np.sqrt(d_head)
+
+    def split(x):  # (s*block, d) -> (s, heads, block, d_head)
+        # contiguous, so each per-head product sees the strides the
+        # per-head column slices had and BLAS rounds the same way
+        return np.ascontiguousarray(
+            x.reshape(s, block, heads, d_head).transpose(0, 2, 1, 3))
+
+    def merge(x):  # (s, heads, block, d_head) -> (s*block, d)
+        return x.transpose(0, 2, 1, 3).reshape(s * block, d)
+
+    def swap(x):  # transpose each (row, column) block
+        return x.transpose(0, 1, 3, 2)
+
+    q4, k4, v4 = split(q), split(k), split(v)
+    probs = np.matmul(q4, swap(k4))
+    probs *= c
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    mask = None
+    mixed = probs
+    if draw is not None:
+        # one draw for all heads: the same stream as one per head in order
+        mask = ((draw((heads, s * block, block)) >= rate) / (1.0 - rate)).reshape(
+            heads, s, block, block).transpose(1, 0, 2, 3)
+        mixed = probs * mask
+    value = merge(np.matmul(mixed, v4))
+
+    def grads(g, need_v: bool, need_qk: bool):
+        g4 = split(g)
+        gv = merge(np.matmul(swap(mixed), g4)) if need_v else None
+        if not need_qk:
+            return None, None, gv
+        dp = np.matmul(g4, swap(v4))
+        if mask is not None:
+            dp *= mask
+        ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
+        ds *= c
+        return merge(np.matmul(ds, k4)), merge(np.matmul(swap(ds), q4)), gv
+
+    return value, grads
+
+
 class Tape:
     """Records ops for one forward pass and replays them in reverse.
 
@@ -259,29 +399,46 @@ class Tape:
         products then cost O(non-zeros), and only w and b are inputs.
         """
         w, b = self._coerce(w), self._coerce(b)
-        if type(x) is not Tensor and sparse.issparse(x):
-            xv, x, inputs = x, None, (w, b)
-        else:
-            x = self._coerce(x)
-            xv, inputs = x.value, (x, w, b)
-        if xv.shape[1] != w.value.shape[0]:
-            raise ShapeError(
-                f"linear: inner dimensions differ: {xv.shape} vs {w.value.shape}")
-        if b.value.shape != (1, w.value.shape[1]):
-            raise ShapeError(
-                f"linear: bias shape {b.value.shape} does not match weight {w.value.shape}")
-        value = xv @ w.value
-        value += b.value
+        x, xv = self._input(x)
+        value, grads = _linear("linear", xv, w, b)
+        need_x = x is not None and x.requires_grad
 
         def backward(g):
-            if x is not None and x.requires_grad:
-                x._accumulate(g @ w.value.T)
-            if w.requires_grad:
-                w._accumulate(xv.T @ g)
-            if b.requires_grad:
-                b._accumulate(g.sum(axis=0, keepdims=True))
+            gx = grads(g, need_x)
+            if need_x:
+                x._accumulate(gx)
 
-        return self._record("linear", inputs, value, backward)
+        return self._record("linear", (w, b) if x is None else (x, w, b), value, backward)
+
+    def mlp(self, x, fc1, fc2) -> Tensor:
+        """``linear(gelu(linear(x, *fc1)), *fc2)`` as one op; fc1 and fc2
+        are (weight, bias) pairs. ``x`` may be a scipy sparse matrix,
+        taken as a constant as ``linear`` takes it."""
+        (w1, b1), (w2, b2) = ((self._coerce(w), self._coerce(b)) for w, b in (fc1, fc2))
+        x, xv = self._input(x)
+        hidden, hidden_grads = _linear("mlp", xv, w1, b1)
+        act, act_grad = _gelu(hidden)
+        value, out_grads = _linear("mlp", act, w2, b2)
+        need_x = x is not None and x.requires_grad
+        need_hidden = need_x or w1.requires_grad or b1.requires_grad
+
+        def backward(g):
+            g_act = out_grads(g, need_hidden)
+            if need_hidden:
+                gx = hidden_grads(act_grad(g_act), need_x)
+                if need_x:
+                    x._accumulate(gx)
+
+        inputs = (w1, b1, w2, b2) if x is None else (x, w1, b1, w2, b2)
+        return self._record("mlp", inputs, value, backward)
+
+    def _input(self, x) -> tuple:
+        """(tensor, value) of a layer input; (None, x) for a scipy
+        sparse matrix, which is a constant."""
+        if type(x) is not Tensor and sparse.issparse(x):
+            return None, x
+        x = self._coerce(x)
+        return x, x.value
 
     def _broadcast_binary(self, op: str, a, b, fn, da_fn, db_fn) -> Tensor:
         a, b = self._coerce(a), self._coerce(b)
@@ -375,14 +532,11 @@ class Tape:
     def gelu(self, a) -> Tensor:
         """Exact GELU, x * Phi(x) with the Gaussian CDF."""
         a = self._coerce(a)
-        x = a.value
-        cdf = 0.5 * (1.0 + erf(x / _SQRT_2))
-        value = x * cdf
+        value, grad = _gelu(a.value)
 
         def backward(g):
             if a.requires_grad:
-                pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-                a._accumulate(g * (cdf + x * pdf))
+                a._accumulate(grad(g))
 
         return self._record("gelu", (a,), value, backward)
 
@@ -417,24 +571,34 @@ class Tape:
     def affine_layer_norm(self, x, gain, bias) -> Tensor:
         """``layer_norm_rows(x) * gain + bias`` with 1 x d gain and bias rows."""
         x, gain, bias = self._coerce(x), self._coerce(gain), self._coerce(bias)
-        row = (1, x.value.shape[1])
-        if gain.value.shape != row or bias.value.shape != row:
-            raise ShapeError(
-                f"affine_layer_norm: gain {gain.value.shape} and bias "
-                f"{bias.value.shape} must both be {row} for input {x.value.shape}")
-        y, inv = _normalize_rows(x.value)
-        value = y * gain.value
-        value += bias.value
+        value, grads = _affine_norm("affine_layer_norm", x.value, gain, bias)
 
         def backward(g):
-            if bias.requires_grad:
-                bias._accumulate(g.sum(axis=0, keepdims=True))
-            if gain.requires_grad:
-                gain._accumulate((g * y).sum(axis=0, keepdims=True))
+            gx = grads(g, x.requires_grad)
             if x.requires_grad:
-                x._accumulate(_normalize_rows_grad(g * gain.value, y, inv))
+                x._accumulate(gx)
 
         return self._record("affine_layer_norm", (x, gain, bias), value, backward)
+
+    def add_layer_norm(self, a, b, gain, bias) -> Tensor:
+        """``affine_layer_norm(add(a, b), gain, bias)`` as one op, for
+        same-shape a and b: a residual add and the norm after it."""
+        a, b = self._coerce(a), self._coerce(b)
+        gain, bias = self._coerce(gain), self._coerce(bias)
+        if a.value.shape != b.value.shape:
+            raise ShapeError(
+                f"add_layer_norm: shapes differ: {a.value.shape} vs {b.value.shape}")
+        value, grads = _affine_norm("add_layer_norm", a.value + b.value, gain, bias)
+        need_sum = a.requires_grad or b.requires_grad
+
+        def backward(g):
+            g_sum = grads(g, need_sum)
+            if a.requires_grad:
+                a._accumulate(g_sum)
+            if b.requires_grad:
+                b._accumulate(g_sum, shared=a.requires_grad)
+
+        return self._record("add_layer_norm", (a, b, gain, bias), value, backward)
 
     def dropout(self, a, rate: float, training: bool) -> Tensor:
         """Inverted dropout: kept entries are scaled by 1/(1-rate).
@@ -444,8 +608,7 @@ class Tape:
         same masks.
         """
         a = self._coerce(a)
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+        _check_rate(rate)
         if not training or rate == 0.0:
             return a
 
@@ -467,7 +630,8 @@ class Tape:
         idx = np.asarray(indices, dtype=np.intp)
         if idx.ndim != 1:
             raise ShapeError(f"take_rows: indices must be 1-D, got shape {idx.shape}")
-        if idx.size and (idx.min() < 0 or idx.max() >= a.value.shape[0]):
+        # viewed as unsigned, a negative index is past every row count
+        if (idx.view(np.uintp) >= a.value.shape[0]).any():
             raise ShapeError(
                 f"take_rows: index out of range for {a.value.shape[0]} rows")
         value = a.value[idx]
@@ -549,13 +713,6 @@ class Tape:
     # ------------------------------------------------------------------
     # blocked attention products
 
-    def _block_view(self, t: Tensor, block: int, op: str) -> int:
-        rows = t.value.shape[0]
-        if block <= 0 or rows % block != 0:
-            raise ShapeError(
-                f"{op}: row count {rows} is not a multiple of block {block}")
-        return rows // block
-
     def attention_scores(self, q, k, block: int) -> Tensor:
         """Block-diagonal Q K^T: per segment of ``block`` rows.
 
@@ -566,7 +723,7 @@ class Tape:
         if q.value.shape != k.value.shape:
             raise ShapeError(
                 f"attention_scores: shapes differ: {q.value.shape} vs {k.value.shape}")
-        s = self._block_view(q, block, "attention_scores")
+        s = _block_count("attention_scores", q.value.shape[0], block)
         d = q.value.shape[1]
         q3 = q.value.reshape(s, block, d)
         k3 = k.value.reshape(s, block, d)
@@ -592,7 +749,7 @@ class Tape:
         if p.value.shape[1] != block:
             raise ShapeError(
                 f"attention_apply: weight shape {p.value.shape} does not match block {block}")
-        s = self._block_view(p, block, "attention_apply")
+        s = _block_count("attention_apply", p.value.shape[0], block)
         if v.value.shape[0] != s * block:
             raise ShapeError(
                 f"attention_apply: value rows {v.value.shape} do not match weights {p.value.shape}")
@@ -626,64 +783,55 @@ class Tape:
         as one draw per head in head order.
         """
         q, k, v = self._coerce(q), self._coerce(k), self._coerce(v)
-        if q.value.shape != k.value.shape or q.value.shape != v.value.shape:
-            raise ShapeError(
-                f"multi_head_attention: shapes differ: q {q.value.shape}, "
-                f"k {k.value.shape}, v {v.value.shape}")
-        s = self._block_view(q, block, "multi_head_attention")
-        d = q.value.shape[1]
-        if heads <= 0 or d % heads != 0:
-            raise ShapeError(
-                f"multi_head_attention: {heads} heads do not divide width {d}")
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        d_head = d // heads
-        c = 1.0 / np.sqrt(d_head)
-
-        def split(x):  # (s*block, d) -> (s, heads, block, d_head)
-            # contiguous, so each per-head product sees the strides the
-            # per-head column slices had and BLAS rounds the same way
-            return np.ascontiguousarray(
-                x.reshape(s, block, heads, d_head).transpose(0, 2, 1, 3))
-
-        def merge(x):  # (s, heads, block, d_head) -> (s*block, d)
-            return x.transpose(0, 2, 1, 3).reshape(s * block, d)
-
-        def swap(x):  # transpose each (row, column) block
-            return x.transpose(0, 1, 3, 2)
-
-        q4, k4, v4 = split(q.value), split(k.value), split(v.value)
-        probs = np.matmul(q4, swap(k4))
-        probs *= c
-        probs -= probs.max(axis=-1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        mask = None
-        mixed = probs
-        if training and rate > 0.0:
-            draw = self.rng.random((heads, s * block, block))
-            mask = ((draw >= rate) / (1.0 - rate)).reshape(
-                heads, s, block, block).transpose(1, 0, 2, 3)
-            mixed = probs * mask
-        value = merge(np.matmul(mixed, v4))
+        value, grads = _attention("multi_head_attention", q.value, k.value, v.value,
+                                  heads, block, rate, self._draw(rate, training))
 
         def backward(g):
-            g4 = split(g)
+            gq, gk, gv = grads(g, v.requires_grad, q.requires_grad or k.requires_grad)
             if v.requires_grad:
-                v._accumulate(merge(np.matmul(swap(mixed), g4)))
-            if not (q.requires_grad or k.requires_grad):
-                return
-            dp = np.matmul(g4, swap(v4))
-            if mask is not None:
-                dp *= mask
-            ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
-            ds *= c
+                v._accumulate(gv)
             if q.requires_grad:
-                q._accumulate(merge(np.matmul(ds, k4)))
+                q._accumulate(gq)
             if k.requires_grad:
-                k._accumulate(merge(np.matmul(swap(ds), q4)))
+                k._accumulate(gk)
 
         return self._record("multi_head_attention", (q, k, v), value, backward)
+
+    def attention_block(self, x, query, key, value, out, heads: int, block: int,
+                        rate: float, training: bool) -> Tensor:
+        """An attention sublayer as one op: the query, key and value
+        projections of x, ``multi_head_attention`` over them, then the
+        output projection. Each projection is a (weight, bias) pair."""
+        op = "attention_block"
+        x = self._coerce(x)
+        inputs = (x,) + tuple(self._coerce(t) for pair in (query, key, value, out) for t in pair)
+        wq, bq, wk, bk, wv, bv, wo, bo = inputs[1:]
+        q, q_grads = _linear(op, x.value, wq, bq)
+        k, k_grads = _linear(op, x.value, wk, bk)
+        v, v_grads = _linear(op, x.value, wv, bv)
+        ctx, attn_grads = _attention(op, q, k, v, heads, block, rate, self._draw(rate, training))
+        result, out_grads = _linear(op, ctx, wo, bo)
+        need_x = x.requires_grad
+        need_v = need_x or wv.requires_grad or bv.requires_grad
+        need_qk = need_x or any(t.requires_grad for t in (wq, bq, wk, bk))
+
+        def backward(g):
+            g_ctx = out_grads(g, need_v or need_qk)
+            if g_ctx is None:
+                return
+            gq, gk, gv = attn_grads(g_ctx, need_v, need_qk)
+            # into x as the separate projections would: value, key, query
+            for g_proj, grads in ((gv, v_grads), (gk, k_grads), (gq, q_grads)):
+                if g_proj is not None:
+                    gx = grads(g_proj, need_x)
+                    if need_x:
+                        x._accumulate(gx)
+
+        return self._record(op, inputs, result, backward)
+
+    def _draw(self, rate: float, training: bool):
+        """The RNG's ``random`` when a dropout mask is drawn, else None."""
+        return self.rng.random if training and rate > 0.0 else None
 
     # ------------------------------------------------------------------
     # similarity and losses

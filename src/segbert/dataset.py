@@ -110,8 +110,9 @@ class FoldSplit:
 
 
 # ----------------------------------------------------------------------
-# loading: each file is one np.loadtxt call, or one walk over its lines
-# when np.loadtxt rejects it; every check then runs once, as a mask on
+# loading: each file is one np.loadtxt call, or a second one over its
+# non-blank lines when np.loadtxt rejects it, and a walk over its lines
+# only when that fails too; every check then runs once, as a mask on
 # the parsed table. Table row r is the r-th non-blank line of the file,
 # so the file is read again only to name the line of a failed check.
 
@@ -131,23 +132,34 @@ def _table(path: str, what: str, dtype=np.int64, columns: int | None = 1,
     """Comma-separated ``what`` values of one file as a 2-D array.
 
     A file np.loadtxt rejects, or whose column count is not ``columns``,
-    is walked over its non-blank lines. It loads if whitespace-only
-    lines were its only fault. Otherwise the first bad line raises: a
-    field count other than ``columns`` (None: the first line's) as
-    "expected ``form``", a field that is not a ``what``, or an integer
-    past int64, which reads as ``overflow`` instead when that is given.
+    is loaded again from its non-blank lines by one more np.loadtxt
+    call, which is enough when whitespace-only lines were its only
+    fault. Only when that fails too are the lines walked in Python, and
+    the first bad line raises: a field count other than ``columns``
+    (None: the first line's) as "expected ``form``", a field that is
+    not a ``what``, or an integer past int64, which reads as
+    ``overflow`` instead when that is given.
     """
     if not os.path.isfile(path):
         raise DatasetError(f"missing dataset file: {path}")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # empty file
-            table = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2,
-                               comments=None, encoding="utf-8")
-        if columns in (None, table.shape[1]):
-            return table
-    except ValueError:
-        pass
+
+    def load(source):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data
+                table = np.loadtxt(source, delimiter=",", dtype=dtype, ndmin=2,
+                                   comments=None, encoding="utf-8")
+        except ValueError:
+            return None
+        return table if columns in (None, table.shape[1]) else None
+
+    table = load(path)
+    if table is not None:
+        return table
+    with open(path, "r", encoding="utf-8") as fh:
+        table = load(list(filter(None, map(str.strip, fh.read().split("\n")))))
+    if table is not None:
+        return table
     lines = _lines(path)
     width = columns or (len(lines[0][1].split(",")) if lines else 1)
     parse, kind = (int, "an integer") if dtype is np.int64 else (float, "a real")

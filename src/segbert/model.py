@@ -12,12 +12,14 @@ pre-training: a linear reconstruction of the raw rows and a row-pair
 cosine recovery of the connection-weight matrix.
 
 Attention is executed in blocked form: all segments of a minibatch are
-stacked into one (segments * k) x d_h matrix, and one fused
-``multi_head_attention`` tape op runs the per-segment, per-head scores,
-softmax, dropout and value mixing in a (segments, heads, k, d_head)
-layout. Projections are fused ``linear`` ops and norms are
-``affine_layer_norm`` ops, so a layer records 13 ops (14 with the raw
-residual) and the tape length per batch does not grow with the batch
+stacked into one (segments * k) x d_h matrix. One fused
+``attention_block`` tape op runs the query, key and value projections,
+the per-segment, per-head scores, softmax, dropout and value mixing in
+a (segments, heads, k, d_head) layout, and the output projection. The
+feed-forward block and the adjacency embedding are each one ``mlp`` op
+(linear, GELU, linear), and each residual add with the norm after it
+is one ``add_layer_norm`` op. So a layer records 5 ops (6 with the raw
+residual), and the tape length per batch does not grow with the batch
 size.
 
 Inputs are prepared for the whole dataset in one pass: each graph is
@@ -439,19 +441,24 @@ def build_batch(graph_inputs: list, class_count: int) -> BatchData:
 def initial_embedding(tape: Tape, params: ModelParams, config: ModelConfig,
                       batch: BatchData) -> Tensor:
     """Sum of the four per-slot channels as one (rows, d_h) tensor."""
-    hidden = tape.gelu(_linear(tape, params, "adj_embed.fc1", batch.adj.matrix))
-    channels = [tape.constant(batch.const), _linear(tape, params, "adj_embed.fc2", hidden)]
+    adj = tape.mlp(batch.adj.matrix, _pair(params, "adj_embed.fc1"),
+                   _pair(params, "adj_embed.fc2"))
+    channels = [tape.constant(batch.const), adj]
     if config.attr_dim > 0:
         channels.append(_linear(tape, params, "attr_embed", tape.constant(batch.attr)))
     return tape.add_n(channels)
 
 
+def _pair(params: ModelParams, name: str) -> tuple:
+    return params[f"{name}.weight"], params[f"{name}.bias"]
+
+
 def _linear(tape: Tape, params: ModelParams, name: str, x) -> Tensor:
-    return tape.linear(x, params[f"{name}.weight"], params[f"{name}.bias"])
+    return tape.linear(x, *_pair(params, name))
 
 
-def _affine_norm(tape: Tape, params: ModelParams, name: str, x: Tensor) -> Tensor:
-    return tape.affine_layer_norm(x, params[f"{name}.gain"], params[f"{name}.bias"])
+def _add_norm(tape: Tape, params: ModelParams, name: str, x: Tensor, y: Tensor) -> Tensor:
+    return tape.add_layer_norm(x, y, params[f"{name}.gain"], params[f"{name}.bias"])
 
 
 def transformer_layer(tape: Tape, params: ModelParams, config: ModelConfig,
@@ -459,17 +466,14 @@ def transformer_layer(tape: Tape, params: ModelParams, config: ModelConfig,
                       res_term: Tensor | None = None) -> Tensor:
     """One post-norm layer over stacked segments of k slots."""
     prefix = f"layers.{layer}"
-    q, key, v = (_linear(tape, params, f"{prefix}.attn.{kind}", h)
-                 for kind in ("query", "key", "value"))
-    ctx = tape.multi_head_attention(q, key, v, config.head_count, config.segment_k,
-                                    config.dropout_attention, training)
-    attn_out = _linear(tape, params, f"{prefix}.attn.out", ctx)
-    h1 = _affine_norm(tape, params, f"{prefix}.norm1", tape.add(h, attn_out))
+    attn_out = tape.attention_block(
+        h, *(_pair(params, f"{prefix}.attn.{kind}") for kind in ("query", "key", "value", "out")),
+        config.head_count, config.segment_k, config.dropout_attention, training)
+    h1 = _add_norm(tape, params, f"{prefix}.norm1", h, attn_out)
 
-    ff = tape.gelu(_linear(tape, params, f"{prefix}.ffn.fc1", h1))
-    ff = tape.dropout(_linear(tape, params, f"{prefix}.ffn.fc2", ff),
-                      config.dropout_hidden, training)
-    h2 = _affine_norm(tape, params, f"{prefix}.norm2", tape.add(h1, ff))
+    ff = tape.mlp(h1, _pair(params, f"{prefix}.ffn.fc1"), _pair(params, f"{prefix}.ffn.fc2"))
+    ff = tape.dropout(ff, config.dropout_hidden, training)
+    h2 = _add_norm(tape, params, f"{prefix}.norm2", h1, ff)
 
     if res_term is not None:
         h2 = tape.add(h2, res_term)

@@ -231,6 +231,16 @@ def test_mean_rows_value():
     assert np.allclose(out.value, [[3.0, 4.0]], atol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [-1, 6, np.iinfo(np.intp).min])
+def test_take_rows_rejects_out_of_range_indices(bad):
+    x = Tensor(np.arange(24.0).reshape(6, 4))
+    with pytest.raises(ShapeError, match="take_rows: index out of range for 6 rows"):
+        Tape().take_rows(x, [0, bad, 5])
+    # the first and last rows and an empty index list are in range
+    assert np.array_equal(Tape().take_rows(x, [5, 0]).value, x.value[[5, 0]])
+    assert Tape().take_rows(x, []).value.shape == (0, 4)
+
+
 # ----------------------------------------------------------------------
 # gradient checks
 
@@ -361,6 +371,31 @@ def test_finite_differences_every_primitive():
     _fd_check(lambda t, x: scalarize(
         t, t.attention_apply(x, Tensor(q0), 4),
         proj12x3), pmat)
+
+    # the fused ops, with each input in turn as the one that varies; the
+    # attention block runs training dropout over 3 segments of 2 rows
+    w1, b1 = rng.standard_normal((4, 5)), rng.standard_normal((1, 5))
+    w2, b2 = rng.standard_normal((5, 4)), rng.standard_normal((1, 4))
+    csr = sparse.csr_array(np.where(rng.random((6, 3)) < 0.5, rng.standard_normal((6, 3)), 0.0))
+    # weights at half scale keep the attention softmax off saturation,
+    # where step-1e-5 central differences lose their accuracy
+    projections = [0.5 * rng.standard_normal(shape) for _ in range(4)
+                   for shape in ((4, 4), (1, 4))]
+
+    def every_input(op, arrays, seed=0):
+        for role, arr in enumerate(arrays):
+            def build(t, x, role=role):
+                ts = [Tensor(a) for a in arrays]
+                ts[role] = x
+                return scalarize(t, op(t, *ts), proj6x4)
+            _fd_check(build, arr, seed=seed)
+
+    every_input(lambda t, x, *p: t.mlp(x, p[:2], p[2:]), [x0, w1, b1, w2, b2])
+    every_input(lambda t, *p: t.mlp(csr, p[:2], p[2:]), [w1[:3], b1, w2, b2])
+    every_input(lambda t, a, b, g, c: t.add_layer_norm(a, b, g, c), [x0, other, gain, bias])
+    for heads in (1, 2):
+        every_input(lambda t, x, *p, heads=heads: t.attention_block(
+            x, *zip(p[::2], p[1::2]), heads, 2, 0.3, True), [x0, *projections], seed=5)
 
 
 def test_dropout_gradient_with_reseeded_mask():
@@ -595,6 +630,13 @@ def test_non_finite_result_names_fused_ops():
             tape.linear(big, Tensor(np.full((2, 2), 1e308)), Tensor(np.zeros((1, 2))))
         with pytest.raises(NonFiniteError, match="'multi_head_attention'"):
             tape.multi_head_attention(big, big, big, 2, 2, 0.0, False)
+        square = (Tensor(np.full((2, 2), 1e308)), Tensor(np.zeros((1, 2))))
+        with pytest.raises(NonFiniteError, match="'mlp'"):
+            tape.mlp(big, square, square)
+        with pytest.raises(NonFiniteError, match="'attention_block'"):
+            tape.attention_block(big, square, square, square, square, 2, 2, 0.0, False)
+        with pytest.raises(NonFiniteError, match="'add_layer_norm'"):
+            tape.add_layer_norm(big, big, Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 2))))
 
 
 def test_large_finite_values_pass_the_finite_check():
@@ -615,6 +657,125 @@ def test_multi_head_attention_rejects_bad_shapes():
         tape.multi_head_attention(x, Tensor(np.zeros((6, 2))), x, 2, 2, 0.0, False)
     with pytest.raises(ValueError, match="rate"):
         tape.multi_head_attention(x, x, x, 2, 2, 1.0, True)
+
+
+def test_fused_ops_reject_bad_shapes_and_rates():
+    tape = Tape()
+    x = Tensor(np.zeros((6, 4)))
+
+    def pair(rows, cols, bias_cols=None):
+        return Tensor(np.zeros((rows, cols))), Tensor(np.zeros((1, bias_cols or cols)))
+
+    square = pair(4, 4)
+    with pytest.raises(ShapeError, match=r"mlp: inner dimensions differ: \(6, 4\) vs \(3, 5\)"):
+        tape.mlp(x, pair(3, 5), pair(5, 4))
+    with pytest.raises(ShapeError, match=r"mlp: bias shape \(1, 2\) does not match weight"):
+        tape.mlp(x, pair(4, 5, 2), pair(5, 4))
+    with pytest.raises(ShapeError, match=r"mlp: inner dimensions differ: \(6, 5\) vs \(4, 4\)"):
+        tape.mlp(x, pair(4, 5), square)
+    with pytest.raises(ShapeError, match="mlp: inner dimensions differ"):
+        tape.mlp(sparse.csr_array(np.ones((6, 3))), square, square)
+    with pytest.raises(ShapeError, match="mlp: bias shape"):
+        tape.mlp(x, square, pair(4, 4, 3))
+
+    def attention(query=square, key=square, value=square, out=square, heads=2, block=2,
+                  rate=0.0):
+        return tape.attention_block(x, query, key, value, out, heads, block, rate, True)
+
+    with pytest.raises(ShapeError, match="attention_block: inner dimensions differ"):
+        attention(key=pair(3, 4))
+    with pytest.raises(ShapeError, match="attention_block: bias shape"):
+        attention(value=pair(4, 4, 2))
+    with pytest.raises(ShapeError, match="attention_block: shapes differ"):
+        attention(query=pair(4, 2))
+    with pytest.raises(ShapeError, match="attention_block: inner dimensions differ"):
+        attention(out=pair(2, 4))
+    with pytest.raises(ShapeError, match="attention_block: bias shape"):
+        attention(out=pair(4, 4, 3))
+    with pytest.raises(ShapeError, match="attention_block: 3 heads do not divide width 4"):
+        attention(heads=3)
+    with pytest.raises(ShapeError, match="attention_block: row count 6 is not a multiple of block 4"):
+        attention(block=4)
+    for rate in (1.0, -0.1):
+        with pytest.raises(ValueError, match="rate must be in"):
+            attention(rate=rate)
+
+    gain, bias = Tensor(np.ones((1, 4))), Tensor(np.zeros((1, 4)))
+    with pytest.raises(ShapeError, match=r"add_layer_norm: shapes differ: \(6, 4\) vs \(1, 4\)"):
+        tape.add_layer_norm(x, bias, gain, bias)
+    with pytest.raises(ShapeError, match="add_layer_norm: gain .* must both be"):
+        tape.add_layer_norm(x, x, Tensor(np.ones((1, 3))), bias)
+
+
+def _seeded_run(build, arrays, proj, residual=True):
+    """build(tape, *tensors) on a seeded training tape, its output fed
+    through ``scalarize``, with a residual path into the first tensor
+    when asked for, as a layer's input also feeds its residual add.
+    Returns the output, the tape RNG's next draw and every input
+    gradient, as bytes."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    tape = Tape(seed=19)
+    out = build(tape, *tensors)
+    loss = scalarize(tape, out, proj)
+    if residual:
+        loss = tape.add(loss, scalarize(tape, tensors[0], proj))
+    tape.backward(loss)
+    return [out.value.tobytes(), tape.rng.random()] + [t.grad.tobytes() for t in tensors]
+
+
+@pytest.mark.parametrize("sparse_input", [False, True])
+def test_mlp_matches_primitive_composition_bit_for_bit(sparse_input):
+    rng = np.random.default_rng(41)
+    x = np.where(rng.random((9, 6)) < 0.4, rng.standard_normal((9, 6)), 0.0)
+    arrays = [x, rng.standard_normal((6, 5)), rng.standard_normal((1, 5)),
+              rng.standard_normal((5, 6)), rng.standard_normal((1, 6))]
+    proj = rng.standard_normal((9, 6))
+    csr = sparse.csr_array(x) if sparse_input else None
+    if sparse_input:
+        arrays = arrays[1:]
+
+    def fused(t, *ts):
+        x, p = (csr, ts) if sparse_input else (ts[0], ts[1:])
+        return t.mlp(x, p[:2], p[2:])
+
+    def primitive(t, *ts):
+        x, p = (csr, ts) if sparse_input else (ts[0], ts[1:])
+        return t.linear(t.gelu(t.linear(x, *p[:2])), *p[2:])
+
+    assert (_seeded_run(fused, arrays, proj, residual=not sparse_input)
+            == _seeded_run(primitive, arrays, proj, residual=not sparse_input))
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_attention_block_matches_primitive_composition_bit_for_bit(heads):
+    rng = np.random.default_rng(43)
+    arrays = [rng.standard_normal((9, 4))]
+    arrays += [rng.standard_normal(shape) for _ in range(4) for shape in ((4, 4), (1, 4))]
+    proj = rng.standard_normal((9, 4))
+
+    def fused(t, x, *p):
+        return t.attention_block(x, *zip(p[::2], p[1::2]), heads, 3, 0.3, True)
+
+    def primitive(t, x, *p):
+        q, k, v = (t.linear(x, w, b) for w, b in zip(p[:6:2], p[1:6:2]))
+        return t.linear(t.multi_head_attention(q, k, v, heads, 3, 0.3, True), *p[6:])
+
+    assert _seeded_run(fused, arrays, proj) == _seeded_run(primitive, arrays, proj)
+
+
+def test_add_layer_norm_matches_primitive_composition_bit_for_bit():
+    rng = np.random.default_rng(47)
+    arrays = [rng.standard_normal((7, 5)), rng.standard_normal((7, 5)),
+              rng.standard_normal((1, 5)) + 1.0, rng.standard_normal((1, 5))]
+    proj = rng.standard_normal((7, 5))
+
+    def fused(t, a, b, gain, bias):
+        return t.add_layer_norm(a, b, gain, bias)
+
+    def primitive(t, a, b, gain, bias):
+        return t.affine_layer_norm(t.add(a, b), gain, bias)
+
+    assert _seeded_run(fused, arrays, proj) == _seeded_run(primitive, arrays, proj)
 
 
 def test_first_gradient_is_never_shared():
@@ -672,7 +833,7 @@ def test_tape_freed_by_refcount_after_backward():
         tape = Tape(seed=0)
         loss, _logits = classify_batch(tape, params, cfg, batch, training=True)
         tape.backward(loss)
-        assert len(tape.entries) > 30
+        assert len(tape.entries) > 15
         return weakref.ref(tape)
 
     was_enabled = gc.isenabled()

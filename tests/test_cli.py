@@ -320,10 +320,10 @@ def test_gradcheck_gate_is_not_settable(flag):
 
 
 def test_gradcheck_detects_corrupted_backward(capsys, monkeypatch):
-    real_gelu = autodiff.Tape.gelu
+    real_mlp = autodiff.Tape.mlp
 
-    def tampered(self, a):
-        out = real_gelu(self, a)
+    def tampered(self, x, fc1, fc2):
+        out = real_mlp(self, x, fc1, fc2)
         if not (self.entries and self.entries[-1].output is out):
             return out  # a paused tape records no entry to corrupt
         entry = self.entries[-1]
@@ -338,7 +338,7 @@ def test_gradcheck_detects_corrupted_backward(capsys, monkeypatch):
         entry.backward = bad
         return out
 
-    monkeypatch.setattr(autodiff.Tape, "gelu", tampered)
+    monkeypatch.setattr(autodiff.Tape, "mlp", tampered)
     code = main(["gradcheck", "--residual", "none"] + GRAD_FLAGS)
     assert code == 1
     out = capsys.readouterr().out

@@ -373,6 +373,30 @@ def test_regular_files_take_one_loadtxt_call_each(tmp_path, monkeypatch):
     assert (ds.tag_vocab_size, ds.attr_dim) == (2, 2)
 
 
+def test_whitespace_lines_take_one_more_loadtxt_call(tmp_path, monkeypatch):
+    """A file np.loadtxt rejects for whitespace-only lines is loaded by a
+    second np.loadtxt call over its non-blank lines."""
+    import segbert.dataset as dataset
+
+    d, _ = write_raw(tmp_path, "1, 2\n   \n3, 4\n",
+                     node_attrs="1.0, 2.0\n \n1.5,2.5\n0.5, 1\n2, 3\n")
+    sources = []
+    loadtxt = np.loadtxt
+
+    def recording_loadtxt(source, *args, **kwargs):
+        sources.append(os.path.basename(source) if isinstance(source, str) else source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(dataset.np, "loadtxt", recording_loadtxt)
+    ds = load_tu_dataset(d, "RAW")
+    assert sources == ["RAW_graph_indicator.txt", "RAW_graph_labels.txt",
+                       "RAW_A.txt", ["1, 2", "3, 4"], "RAW_node_attributes.txt",
+                       ["1.0, 2.0", "1.5,2.5", "0.5, 1", "2, 3"]]
+    assert graph_view(ds) == TWO_EDGES
+    assert np.array_equal(np.vstack([g.node_attributes for g in ds.graphs]),
+                          [[1.0, 2.0], [1.5, 2.5], [0.5, 1.0], [2.0, 3.0]])
+
+
 HUGE = "99999999999999999999"  # past int64
 
 

@@ -86,10 +86,10 @@ def test_gradcheck_report_lines_name_groups():
 def test_corrupted_backward_is_detected(monkeypatch):
     """Negative control: a 1% error injected into one backward closure
     must push the reported error past the tolerance."""
-    real_gelu = autodiff.Tape.gelu
+    real_mlp = autodiff.Tape.mlp
 
-    def tampered(self, a):
-        out = real_gelu(self, a)
+    def tampered(self, x, fc1, fc2):
+        out = real_mlp(self, x, fc1, fc2)
         if not (self.entries and self.entries[-1].output is out):
             return out  # a paused tape records no entry to corrupt
         entry = self.entries[-1]
@@ -104,7 +104,7 @@ def test_corrupted_backward_is_detected(monkeypatch):
         entry.backward = bad
         return out
 
-    monkeypatch.setattr(autodiff.Tape, "gelu", tampered)
+    monkeypatch.setattr(autodiff.Tape, "mlp", tampered)
     report = model_gradcheck(residual_mode="none", **small_kwargs())
     assert not report.passed
     assert report.worst > 1e-3

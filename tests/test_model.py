@@ -402,7 +402,7 @@ def test_batched_classification_matches_per_graph_forward():
 
 def test_training_tape_length_is_pinned():
     """One training classify_batch on the toy graph, 2 layers with the
-    raw residual, records 37 ops: 5 embedding, 1 residual, 14 per layer
+    raw residual, records 19 ops: 3 embedding, 1 residual, 6 per layer
     and 3 in the head."""
     from segbert.gradcheck import toy_graph
 
@@ -414,9 +414,10 @@ def test_training_tape_length_is_pinned():
     tape = Tape(seed=0)
     classify_batch(tape, init_params(cfg, seed=0), cfg, build_batch([gi], 2), training=True)
     ops = [e.op for e in tape.entries]
-    assert len(ops) == 37
-    assert ops.count("multi_head_attention") == 2
-    assert ops.count("linear") == 17
+    layer = ["attention_block", "add_layer_norm", "mlp", "dropout", "add_layer_norm", "add"]
+    assert ops == (["mlp", "linear", "add_n", "linear"] + layer * 2
+                   + ["matmul", "linear", "cross_entropy"])
+    assert len(ops) == 19
 
 
 def test_full_input_permutation_invariance_quick():

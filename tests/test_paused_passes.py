@@ -33,6 +33,9 @@ OP_CASES = {
     "matmul": lambda t, x: t.matmul(x, W),
     "linear": lambda t, x: t.linear(x, Tensor(W, True), Tensor(BIAS, True)),
     "linear/csr": lambda t, x: t.linear(sparse.csr_array(SPARSE), x, Tensor(BIAS)),
+    "mlp": lambda t, x: t.mlp(x, (Tensor(W, True), Tensor(BIAS)), (Tensor(W), Tensor(BIAS, True))),
+    "mlp/csr": lambda t, x: t.mlp(sparse.csr_array(SPARSE), (x, Tensor(BIAS)),
+                                  (Tensor(W), Tensor(BIAS))),
     "add": lambda t, x: t.add(x, Tensor(OTHER)),
     "add/bias": lambda t, x: t.add(x, Tensor(BIAS)),
     "mul": lambda t, x: t.mul(x, Tensor(OTHER)),
@@ -43,6 +46,7 @@ OP_CASES = {
     "softmax_rows": lambda t, x: t.softmax_rows(x),
     "layer_norm_rows": lambda t, x: t.layer_norm_rows(x),
     "affine_layer_norm": lambda t, x: t.affine_layer_norm(x, Tensor(GAIN), Tensor(BIAS)),
+    "add_layer_norm": lambda t, x: t.add_layer_norm(x, Tensor(OTHER), Tensor(GAIN), Tensor(BIAS)),
     "dropout": lambda t, x: t.dropout(x, 0.4, True),
     "take_rows": lambda t, x: t.take_rows(x, [5, 0, 3, 3]),
     "concat_rows": lambda t, x: t.concat_rows([x, Tensor(OTHER)]),
@@ -52,6 +56,8 @@ OP_CASES = {
     "attention_scores": lambda t, x: t.attention_scores(x, Tensor(OTHER), 2),
     "attention_apply": lambda t, x: t.attention_apply(Tensor(PROBS), x, 2),
     "multi_head_attention": lambda t, x: t.multi_head_attention(x, x, x, 2, 2, 0.3, True),
+    "attention_block": lambda t, x: t.attention_block(
+        x, *[(Tensor(W), Tensor(BIAS))] * 4, 2, 2, 0.3, True),
     "cosine_rows": lambda t, x: t.cosine_rows(x),
     "mse": lambda t, x: t.mse(x, OTHER),
     "cross_entropy": lambda t, x: t.cross_entropy(x, ONEHOT),
@@ -166,7 +172,7 @@ def test_paused_pass_checks_no_op_and_recording_pass_checks_every_op(monkeypatch
     recording = Tape(seed=1)
     classify_batch(recording, params, cfg, batch, training=True)
     assert checked == [e.op for e in recording.entries]
-    assert len(checked) > 30
+    assert len(checked) > 15
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +183,7 @@ def test_evaluate_accuracy_overflow_names_the_op():
     cfg, params, inputs = padded_batch()
     params["adj_embed.fc1.weight"].value[...] = 1e308
     with np.errstate(all="ignore"):
-        with pytest.raises(NonFiniteError, match="op 'linear' produced a non-finite value"):
+        with pytest.raises(NonFiniteError, match="op 'mlp' produced a non-finite value"):
             evaluate_accuracy(params, cfg, inputs, [0, 1])
 
 
