@@ -13,11 +13,10 @@ key and value projections, per-segment scaled dot-product attention of
 all heads with the softmax and attention dropout inside, and the output
 projection), ``mlp`` (linear, exact GELU, linear) and
 ``add_layer_norm`` (a residual add, then row normalization, gain and
-bias). Each does exactly the arithmetic of its primitives, in the same
-order, including the order in which its reverse pass adds into a
-shared input; the attention, GELU and affine-norm math each live once,
-in private kernels that the fused ops and the primitives
-``multi_head_attention``, ``gelu`` and ``affine_layer_norm`` share.
+bias). Each does exactly the arithmetic of its primitive composition,
+in the same order, including the order in which its reverse pass adds
+into a shared input; the projection and GELU math each live once, in
+private kernels that the fused ops share with ``linear`` and ``gelu``.
 ``linear`` (matrix product plus a bias row) and ``mlp`` also take a
 constant scipy sparse matrix as their input. Alongside them sit the
 other primitives: matrix products (including block-diagonal ones for
@@ -32,20 +31,19 @@ its parameter tensors' values and grads are views.
 On a recording tape each op, fused or not, checks its output for NaN
 and Inf and raises ``NonFiniteError`` naming itself; a value that goes
 non-finite inside a fused op is reported under the fused op's name. A
-paused tape records nothing and checks nothing per op: ``paused_value``
-runs a forward on one, checks only its result, and on a non-finite
-result replays the forward on a recording tape so that the error still
-names the first op that went non-finite. A non-finite value that never
-reaches the result (say, a dummy row that a later ``take_rows`` drops)
-is therefore not reported by a paused pass; a recording pass at the
-same parameters still reports it.
+paused tape (``recording`` off) records nothing and checks nothing per
+op: ``paused_value`` runs a forward on one, checks only its result, and
+on a non-finite result replays the forward on a recording tape so that
+the error still names the first op that went non-finite. A non-finite
+value that never reaches the result (say, a dummy row that a later
+``take_rows`` drops) is therefore not reported by a paused pass; a
+recording pass at the same parameters still reports it.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -178,10 +176,11 @@ def _normalize_rows_grad(g: np.ndarray, y: np.ndarray, inv: np.ndarray) -> np.nd
 
 
 # ----------------------------------------------------------------------
-# kernels: the arithmetic that a primitive op and a fused op share. Each
-# returns its output and a gradient function, which maps the output
-# gradient to the gradients of its array inputs (None where not asked
-# for) and adds into the parameter tensors it was given on the way.
+# kernels: the stages of the fused ops, two of them shared with the
+# primitives ``linear`` and ``gelu``. Each returns its output and a
+# gradient function, which maps the output gradient to the gradients of
+# its array inputs (None where not asked for) and adds into the
+# parameter tensors it was given on the way.
 
 
 def _linear(op: str, xv, w: Tensor, b: Tensor) -> tuple:
@@ -215,27 +214,6 @@ def _gelu(x: np.ndarray) -> tuple:
         return g * (cdf + x * pdf)
 
     return x * cdf, grad
-
-
-def _affine_norm(op: str, x: np.ndarray, gain: Tensor, bias: Tensor) -> tuple:
-    """Row layer norm of x, times the gain row, plus the bias row."""
-    row = (1, x.shape[1])
-    if gain.value.shape != row or bias.value.shape != row:
-        raise ShapeError(
-            f"{op}: gain {gain.value.shape} and bias "
-            f"{bias.value.shape} must both be {row} for input {x.shape}")
-    y, inv = _normalize_rows(x)
-    value = y * gain.value
-    value += bias.value
-
-    def grads(g, need_x: bool):
-        if bias.requires_grad:
-            bias._accumulate(g.sum(axis=0, keepdims=True))
-        if gain.requires_grad:
-            gain._accumulate((g * y).sum(axis=0, keepdims=True))
-        return _normalize_rows_grad(g * gain.value, y, inv) if need_x else None
-
-    return value, grads
 
 
 def _check_rate(rate: float) -> None:
@@ -336,19 +314,6 @@ class Tape:
         """Drop all recorded entries; the next forward starts clean."""
         self.entries.clear()
         self._backward_done = False
-
-    @contextmanager
-    def paused(self):
-        """Context manager that disables recording (for eval passes).
-
-        Ops on a paused tape neither record nor check their outputs for
-        NaN and Inf; ``paused_value`` checks the result of such a pass."""
-        prev = self.recording
-        self.recording = False
-        try:
-            yield self
-        finally:
-            self.recording = prev
 
     def _coerce(self, x) -> Tensor:
         return x if isinstance(x, Tensor) else Tensor(x)
@@ -568,35 +533,35 @@ class Tape:
 
         return self._record("layer_norm_rows", (a,), value, backward)
 
-    def affine_layer_norm(self, x, gain, bias) -> Tensor:
-        """``layer_norm_rows(x) * gain + bias`` with 1 x d gain and bias rows."""
-        x, gain, bias = self._coerce(x), self._coerce(gain), self._coerce(bias)
-        value, grads = _affine_norm("affine_layer_norm", x.value, gain, bias)
-
-        def backward(g):
-            gx = grads(g, x.requires_grad)
-            if x.requires_grad:
-                x._accumulate(gx)
-
-        return self._record("affine_layer_norm", (x, gain, bias), value, backward)
-
     def add_layer_norm(self, a, b, gain, bias) -> Tensor:
-        """``affine_layer_norm(add(a, b), gain, bias)`` as one op, for
-        same-shape a and b: a residual add and the norm after it."""
+        """``add(mul(layer_norm_rows(add(a, b)), gain), bias)`` as one op,
+        for same-shape a and b and 1 x d gain and bias rows: a residual
+        add and the affine norm after it."""
         a, b = self._coerce(a), self._coerce(b)
         gain, bias = self._coerce(gain), self._coerce(bias)
         if a.value.shape != b.value.shape:
             raise ShapeError(
                 f"add_layer_norm: shapes differ: {a.value.shape} vs {b.value.shape}")
-        value, grads = _affine_norm("add_layer_norm", a.value + b.value, gain, bias)
-        need_sum = a.requires_grad or b.requires_grad
+        row = (1, a.value.shape[1])
+        if gain.value.shape != row or bias.value.shape != row:
+            raise ShapeError(
+                f"add_layer_norm: gain {gain.value.shape} and bias "
+                f"{bias.value.shape} must both be {row} for input {a.value.shape}")
+        y, inv = _normalize_rows(a.value + b.value)
+        value = y * gain.value
+        value += bias.value
 
         def backward(g):
-            g_sum = grads(g, need_sum)
-            if a.requires_grad:
-                a._accumulate(g_sum)
-            if b.requires_grad:
-                b._accumulate(g_sum, shared=a.requires_grad)
+            if bias.requires_grad:
+                bias._accumulate(g.sum(axis=0, keepdims=True))
+            if gain.requires_grad:
+                gain._accumulate((g * y).sum(axis=0, keepdims=True))
+            if a.requires_grad or b.requires_grad:
+                g_sum = _normalize_rows_grad(g * gain.value, y, inv)
+                if a.requires_grad:
+                    a._accumulate(g_sum)
+                if b.requires_grad:
+                    b._accumulate(g_sum, shared=a.requires_grad)
 
         return self._record("add_layer_norm", (a, b, gain, bias), value, backward)
 
@@ -645,42 +610,30 @@ class Tape:
         return self._record("take_rows", (a,), value, backward)
 
     def concat_rows(self, tensors: Sequence) -> Tensor:
-        ts = tuple(self._coerce(t) for t in tensors)
-        if not ts:
-            raise ShapeError("concat_rows: empty operand list")
-        cols = ts[0].value.shape[1]
-        for t in ts[1:]:
-            if t.value.shape[1] != cols:
-                raise ShapeError(
-                    f"concat_rows: column counts differ: {ts[0].value.shape} vs {t.value.shape}")
-        value = np.concatenate([t.value for t in ts], axis=0)
-        splits = np.cumsum([t.value.shape[0] for t in ts])[:-1]
-
-        def backward(g):
-            for t, piece in zip(ts, np.split(g, splits, axis=0)):
-                if t.requires_grad:
-                    t._accumulate(piece, shared=True)
-
-        return self._record("concat_rows", ts, value, backward)
+        return self._concat("concat_rows", tensors, 0)
 
     def concat_cols(self, tensors: Sequence) -> Tensor:
+        return self._concat("concat_cols", tensors, 1)
+
+    def _concat(self, op: str, tensors: Sequence, axis: int) -> Tensor:
+        """The tensors joined along ``axis``; the other axis must agree."""
         ts = tuple(self._coerce(t) for t in tensors)
         if not ts:
-            raise ShapeError("concat_cols: empty operand list")
-        rows = ts[0].value.shape[0]
+            raise ShapeError(f"{op}: empty operand list")
+        other = 1 - axis
         for t in ts[1:]:
-            if t.value.shape[0] != rows:
-                raise ShapeError(
-                    f"concat_cols: row counts differ: {ts[0].value.shape} vs {t.value.shape}")
-        value = np.concatenate([t.value for t in ts], axis=1)
-        splits = np.cumsum([t.value.shape[1] for t in ts])[:-1]
+            if t.value.shape[other] != ts[0].value.shape[other]:
+                raise ShapeError(f"{op}: {('row', 'column')[other]} counts differ: "
+                                 f"{ts[0].value.shape} vs {t.value.shape}")
+        value = np.concatenate([t.value for t in ts], axis=axis)
+        splits = np.cumsum([t.value.shape[axis] for t in ts])[:-1]
 
         def backward(g):
-            for t, piece in zip(ts, np.split(g, splits, axis=1)):
+            for t, piece in zip(ts, np.split(g, splits, axis=axis)):
                 if t.requires_grad:
                     t._accumulate(piece, shared=True)
 
-        return self._record("concat_cols", ts, value, backward)
+        return self._record(op, ts, value, backward)
 
     def slice_cols(self, a, start: int, stop: int) -> Tensor:
         a = self._coerce(a)
@@ -769,39 +722,16 @@ class Tape:
 
         return self._record("attention_apply", (p, v), value, backward)
 
-    def multi_head_attention(self, q, k, v, heads: int, block: int,
-                             rate: float, training: bool) -> Tensor:
-        """Scaled dot-product attention per segment, all heads in one op.
-
-        q, k and v are (s*block) x d stacks of s segments; their columns
-        split into ``heads`` heads of d_head = d/heads columns. For each
-        segment and head this computes softmax(Q K^T / sqrt(d_head)),
-        applies inverted attention dropout (training only) and mixes
-        the value rows. Head outputs come back side by side, so the
-        result is (s*block) x d. The dropout masks are one
-        (heads, s*block, block) draw from the tape RNG: the same stream
-        as one draw per head in head order.
-        """
-        q, k, v = self._coerce(q), self._coerce(k), self._coerce(v)
-        value, grads = _attention("multi_head_attention", q.value, k.value, v.value,
-                                  heads, block, rate, self._draw(rate, training))
-
-        def backward(g):
-            gq, gk, gv = grads(g, v.requires_grad, q.requires_grad or k.requires_grad)
-            if v.requires_grad:
-                v._accumulate(gv)
-            if q.requires_grad:
-                q._accumulate(gq)
-            if k.requires_grad:
-                k._accumulate(gk)
-
-        return self._record("multi_head_attention", (q, k, v), value, backward)
-
     def attention_block(self, x, query, key, value, out, heads: int, block: int,
                         rate: float, training: bool) -> Tensor:
         """An attention sublayer as one op: the query, key and value
-        projections of x, ``multi_head_attention`` over them, then the
-        output projection. Each projection is a (weight, bias) pair."""
+        projections of x; per segment of ``block`` rows and per head h
+        (columns h*d_head to (h+1)*d_head, d_head = d/heads),
+        softmax(Q K^T / sqrt(d_head)), inverted dropout in training and
+        the mix of value rows; then the output projection of the heads
+        side by side. Each projection is a (weight, bias) pair. The
+        dropout masks are one (heads, s*block, block) draw from the tape
+        RNG: the same stream as one draw per head in head order."""
         op = "attention_block"
         x = self._coerce(x)
         inputs = (x,) + tuple(self._coerce(t) for pair in (query, key, value, out) for t in pair)
@@ -809,7 +739,8 @@ class Tape:
         q, q_grads = _linear(op, x.value, wq, bq)
         k, k_grads = _linear(op, x.value, wk, bk)
         v, v_grads = _linear(op, x.value, wv, bv)
-        ctx, attn_grads = _attention(op, q, k, v, heads, block, rate, self._draw(rate, training))
+        draw = self.rng.random if training and rate > 0.0 else None
+        ctx, attn_grads = _attention(op, q, k, v, heads, block, rate, draw)
         result, out_grads = _linear(op, ctx, wo, bo)
         need_x = x.requires_grad
         need_v = need_x or wv.requires_grad or bv.requires_grad
@@ -828,10 +759,6 @@ class Tape:
                         x._accumulate(gx)
 
         return self._record(op, inputs, result, backward)
-
-    def _draw(self, rate: float, training: bool):
-        """The RNG's ``random`` when a dropout mask is drawn, else None."""
-        return self.rng.random if training and rate > 0.0 else None
 
     # ------------------------------------------------------------------
     # similarity and losses
