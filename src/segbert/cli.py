@@ -13,6 +13,7 @@ import argparse
 import inspect
 import os
 import sys
+import time
 from dataclasses import dataclass, field, fields, replace
 
 from .dataset import DatasetError, GraphDataset, load_tu_dataset
@@ -244,6 +245,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     worst = 0.0
     ok = True
     for mode in modes:
+        start = time.perf_counter()
         report = model_gradcheck(
             residual_mode=mode,
             hidden_dim=args.hidden,
@@ -253,7 +255,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
             attr_dim=args.attr_dim,
             seed=args.seed,
         )
-        print(f"residual={mode}")
+        print(f"residual={mode}: {report.evaluations} loss evaluations "
+              f"in {time.perf_counter() - start:.2f}s")
         for line in report.lines():
             print("  " + line)
         worst = max(worst, report.worst)

@@ -10,6 +10,16 @@ gradient. ``finite_difference_check`` is that comparison for any loss
 built on a tape, so tests can run it on batched, segmented and
 pre-training losses too.
 
+In eval mode every layer is a deterministic function of its input and
+the parameters, so perturbing a tensor leaves the input of every layer
+before the first one that reads it bit for bit as in the analytic pass
+(``resume_layer`` names that layer). The model check keeps each
+layer's input and the encoder output from its analytic pass, and each
+finite-difference evaluation resumes ``encode`` at the perturbed
+tensor's layer: a head's evaluation runs no layer at all, and the
+losses are the bits a full evaluation gives. Training-mode checks keep
+full evaluations, since dropout draws from one stream per pass.
+
 The analytic pass records, so every op output is checked for NaN and
 Inf as in training. The finite-difference evaluations run on paused
 tapes, whose ops check nothing: ``paused_value`` checks each loss once
@@ -41,7 +51,7 @@ from .model import (
 from .unify import Strategy, UnifyPlan
 
 __all__ = ["GradCheckReport", "finite_difference_check", "model_gradcheck",
-           "relative_error", "toy_graph"]
+           "relative_error", "resume_layer", "toy_graph"]
 
 # the one gate setting: central differences with this step, and every
 # parameter group's relative error below this tolerance
@@ -72,6 +82,7 @@ def toy_graph(attr_dim: int = TOY_ATTR_DIM) -> GraphInstance:
 class GradCheckReport:
     errors: dict
     tolerance: float
+    evaluations: int  # loss evaluations made: the analytic pass, two per entry
 
     @property
     def worst(self) -> float:
@@ -118,8 +129,17 @@ def model_gradcheck(residual_mode: str = ModelConfig.residual_mode,
     target_w = structure_target(gi)
     raw_target = batch.raw_rows(batch.real_slot_lists[0])
 
-    def run_loss(tape: Tape) -> Tensor:
-        h = encode(tape, params, cfg, batch, training=False)
+    # each layer's input, then the encoder output, at the analytic pass
+    layer_inputs = []
+
+    def run_loss(tape: Tape, start: tuple | None = None) -> Tensor:
+        h = encode(tape, params, cfg, batch, training=False, start=start)
+        if tape.recording and not layer_inputs:
+            # the analytic pass: each layer's attention_block entry reads
+            # its input; constants keep later passes off this tape
+            layer_inputs.extend(Tensor(e.inputs[0].value) for e in tape.entries
+                                if e.op == "attention_block")
+            layer_inputs.append(Tensor(h.value))
         h_final = tape.take_rows(h, batch.real_slot_lists[0])
         z = tape.mean_rows(h_final)
         logits = tape.linear(z, params["classifier.weight"], params["classifier.bias"])
@@ -128,10 +148,33 @@ def model_gradcheck(residual_mode: str = ModelConfig.residual_mode,
         struct = tape.mse(recover_structure(tape, h_final), target_w)
         return tape.add_n([ce, recon, struct])
 
-    return finite_difference_check(params, run_loss)
+    def loss_for(name: str):
+        layer = resume_layer(name, cfg.layer_count)
+        if layer is None:
+            return run_loss
+        start = (layer, layer_inputs[layer])
+        return lambda tape: run_loss(tape, start)
+
+    return finite_difference_check(params, run_loss, loss_for)
 
 
-def finite_difference_check(params: ModelParams, run_loss) -> GradCheckReport:
+def resume_layer(name: str, layer_count: int) -> int | None:
+    """The first encoder layer that reads parameter ``name``, or
+    ``layer_count`` when only the heads do: an evaluation perturbing it
+    can resume there. The raw residual enters every layer, so it resumes
+    at layer 0, from the embedding. None (a full evaluation) for the
+    embeddings and for any name not listed here."""
+    group, _, rest = name.partition(".")
+    if group == "residual":
+        return 0
+    if group == "layers":
+        return int(rest.partition(".")[0])
+    if group in ("classifier", "reconstruct"):
+        return layer_count
+    return None
+
+
+def finite_difference_check(params: ModelParams, run_loss, loss_for=None) -> GradCheckReport:
     """Compare the tape gradient of ``run_loss(tape)``, a 1 x 1 loss
     tensor, with central differences of step ``STEP``, entry by entry
     for every parameter; the report passes below ``TOLERANCE``.
@@ -142,26 +185,35 @@ def finite_difference_check(params: ModelParams, run_loss) -> GradCheckReport:
     records; the finite-difference evaluations run through
     ``paused_value``, which computes the same values and masks without
     taping entries and checks only the loss.
+
+    ``loss_for(name)``, called after the analytic pass, gives the loss
+    function to evaluate while entries of parameter ``name`` are
+    perturbed. It must return the bits ``run_loss`` returns at every
+    such perturbation, so it can skip the work the tensor cannot reach.
+    Without it every evaluation is ``run_loss``.
     """
     params.zero_grads()
     tape = Tape(seed=0)
     tape.backward(run_loss(tape))
     analytic = params.grads.copy()
 
-    def loss_value() -> float:
-        return float(paused_value(run_loss, seed=0).value[0, 0])
+    def loss_value(run) -> float:
+        return float(paused_value(run, seed=0).value[0, 0])
 
     values = params.values
     numeric = np.empty_like(values)
-    for i in range(values.size):
-        orig = values[i]
-        values[i] = orig + STEP
-        hi = loss_value()
-        values[i] = orig - STEP
-        lo = loss_value()
-        values[i] = orig
-        numeric[i] = (hi - lo) / (2.0 * STEP)
-    bounds = zip(params.names(), params.offsets, params.offsets[1:])
+    bounds = list(zip(params.names(), params.offsets, params.offsets[1:]))
+    for name, start, stop in bounds:
+        run = run_loss if loss_for is None else loss_for(name)
+        for i in range(start, stop):
+            orig = values[i]
+            values[i] = orig + STEP
+            hi = loss_value(run)
+            values[i] = orig - STEP
+            lo = loss_value(run)
+            values[i] = orig
+            numeric[i] = (hi - lo) / (2.0 * STEP)
     errors = {name: relative_error(analytic[lo:hi], numeric[lo:hi])
               for name, lo, hi in bounds}
-    return GradCheckReport(errors=errors, tolerance=TOLERANCE)
+    return GradCheckReport(errors=errors, tolerance=TOLERANCE,
+                           evaluations=1 + 2 * values.size)

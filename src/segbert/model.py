@@ -481,14 +481,23 @@ def transformer_layer(tape: Tape, params: ModelParams, config: ModelConfig,
 
 
 def encode(tape: Tape, params: ModelParams, config: ModelConfig,
-           batch: BatchData, training: bool) -> Tensor:
-    """Initial embedding plus the full layer stack; (rows, d_h)."""
-    h = initial_embedding(tape, params, config, batch)
+           batch: BatchData, training: bool, start: tuple | None = None) -> Tensor:
+    """Initial embedding plus the full layer stack; (rows, d_h).
+
+    ``start=(layer, h)`` resumes the stack at ``layer`` with ``h`` as
+    that layer's input (the embedding for 0, the encoder output for
+    ``layer_count``): the embedding and the layers before ``layer`` do
+    not run. The raw residual term is computed when any layer remains.
+    """
+    if start is None:
+        first, h = 0, initial_embedding(tape, params, config, batch)
+    else:
+        first, h = start
     res_term = None
-    if config.residual_mode == "raw":
+    if config.residual_mode == "raw" and first < config.layer_count:
         raw = batch.raw.matrix if isinstance(batch.raw, CsrRows) else batch.raw
         res_term = _linear(tape, params, "residual", raw)
-    for l in range(config.layer_count):
+    for l in range(first, config.layer_count):
         h = transformer_layer(tape, params, config, h, l, training, res_term)
     return h
 

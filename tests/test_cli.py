@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: flags, config files, exit codes."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -310,6 +311,11 @@ def test_gradcheck_both_modes(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "residual=none" in out and "residual=raw" in out
+    # per mode, the loss evaluations (1 + 2 x entries) and the wall time;
+    # the raw residual adds 3 x 8 + 8 entries
+    for mode, evaluations in (("none", 1255), ("raw", 1319)):
+        assert re.search(rf"residual={mode}: {evaluations} loss evaluations "
+                         r"in \d+\.\d\ds\n", out)
 
 
 @pytest.mark.parametrize("flag", ["--tolerance", "--step"])

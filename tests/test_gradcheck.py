@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import segbert.autodiff as autodiff
+import segbert.gradcheck as gradcheck
+import segbert.model as model
 from segbert.dataset import GraphInstance
 from segbert.features import build_bundles
 from segbert.gradcheck import finite_difference_check, model_gradcheck, relative_error, toy_graph
@@ -108,6 +110,62 @@ def test_corrupted_backward_is_detected(monkeypatch):
     report = model_gradcheck(residual_mode="none", **small_kwargs())
     assert not report.passed
     assert report.worst > 1e-3
+
+
+# ----------------------------------------------------------------------
+# evaluations resume at the first layer the perturbed tensor feeds
+
+WIDTH_4 = dict(hidden_dim=4, head_count=2, layer_count=2, intermediate_dim=4)
+
+
+def test_model_gradcheck_reruns_only_the_layers_a_tensor_feeds(monkeypatch):
+    calls = dict.fromkeys(("initial_embedding", "transformer_layer"), 0)
+    for fn in calls:
+        def counting(*args, _fn=fn, _real=getattr(model, fn), **kwargs):
+            calls[_fn] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(model, fn, counting)
+    report = model_gradcheck(residual_mode="raw", **WIDTH_4)
+    assert report.passed
+
+    cfg = ModelConfig(residual_mode="raw", class_count=2, attr_dim=3, use_tags=True,
+                      n_adj=5, segment_k=5, **WIDTH_4)
+    params = init_params(cfg)
+    # the layers an evaluation runs when a group is perturbed: all of them
+    # for the embeddings and the residual, from layer l on for layers.l
+    reruns = {"adj_embed": 2, "attr_embed": 2, "residual": 2, "layers.0": 2,
+              "layers.1": 1, "classifier": 0, "reconstruct": 0}
+    embed = layers = 0
+    for name in params.names():
+        entries = params[name].value.size
+        group = next(g for g in reruns if name.startswith(g + "."))
+        embed += 2 * entries * (group in ("adj_embed", "attr_embed"))
+        layers += 2 * entries * reruns[group]
+    # the analytic pass, then the finite-difference evaluations
+    assert calls == {"initial_embedding": 1 + embed, "transformer_layer": 2 + layers}
+    assert calls == {"initial_embedding": 121, "transformer_layer": 1122}
+    # full evaluations would call them 747 and 2 x 747 times
+    assert report.evaluations == 747
+
+
+@pytest.mark.parametrize("group, late", [("layers.0.", lambda layer_count: 1),
+                                         ("residual.", lambda layer_count: layer_count)])
+def test_wrong_resume_layer_fails_exactly_its_groups(monkeypatch, group, late):
+    """Negative control: resuming after a tensor's first layer leaves
+    its finite differences at zero, which the unchanged gate reports."""
+    real = gradcheck.resume_layer
+
+    def wrong(name, layer_count):
+        return late(layer_count) if name.startswith(group) else real(name, layer_count)
+
+    monkeypatch.setattr(gradcheck, "resume_layer", wrong)
+    report = model_gradcheck(residual_mode="raw", **WIDTH_4)
+    failing = {name for name, err in report.errors.items() if not err < report.tolerance}
+    # a key bias adds one amount to a whole row of scores, which softmax
+    # ignores: its gradient is zero, so zero differences are right there
+    expected = {name for name in report.errors
+                if name.startswith(group) and not name.endswith("attn.key.bias")}
+    assert failing == expected
 
 
 # ----------------------------------------------------------------------

@@ -126,28 +126,55 @@ def test_classify_batch_logits_bit_identical_paused_and_recording(training):
 
 
 def captured_gradcheck(monkeypatch, **kwargs):
-    """(params, run_loss) of a model_gradcheck call, with its
+    """(params, run_loss, loss_for) of a model_gradcheck call, with its
     finite-difference loop skipped."""
     seen = {}
 
-    def capture(params, run_loss):
-        seen.update(params=params, run_loss=run_loss)
-        return gradcheck.GradCheckReport(errors={}, tolerance=gradcheck.TOLERANCE)
+    def capture(params, run_loss, loss_for):
+        seen.update(params=params, run_loss=run_loss, loss_for=loss_for)
+        return gradcheck.GradCheckReport(errors={}, tolerance=gradcheck.TOLERANCE,
+                                         evaluations=0)
 
     monkeypatch.setattr(gradcheck, "finite_difference_check", capture)
     gradcheck.model_gradcheck(**kwargs)
-    return seen["params"], seen["run_loss"]
+    return seen["params"], seen["run_loss"], seen["loss_for"]
 
 
 @pytest.mark.parametrize("residual_mode", ["none", "raw"])
 def test_gradcheck_loss_bit_identical_paused_and_recording(monkeypatch, residual_mode):
-    _, run_loss = captured_gradcheck(monkeypatch, residual_mode=residual_mode,
-                                     hidden_dim=4, layer_count=2, intermediate_dim=4)
+    _, run_loss, _ = captured_gradcheck(monkeypatch, residual_mode=residual_mode,
+                                        hidden_dim=4, layer_count=2, intermediate_dim=4)
     recorded = run_loss(Tape(seed=0)).value
     paused = Tape(seed=0)
     paused.recording = False
     assert run_loss(paused).value.tobytes() == recorded.tobytes()
     assert paused_value(run_loss, seed=0).value.tobytes() == recorded.tobytes()
+
+
+@pytest.mark.parametrize("attr_dim", [0, 3])
+@pytest.mark.parametrize("layer_count", [1, 3])
+@pytest.mark.parametrize("residual_mode", ["none", "raw"])
+def test_resumed_gradcheck_loss_bit_identical_to_full(monkeypatch, residual_mode,
+                                                      layer_count, attr_dim):
+    """Each tensor's first entry at +STEP and -STEP: the loss that
+    resumes at the tensor's first layer is the full loss, bit for bit."""
+    params, run_loss, loss_for = captured_gradcheck(
+        monkeypatch, residual_mode=residual_mode, hidden_dim=4, layer_count=layer_count,
+        intermediate_dim=4, attr_dim=attr_dim)
+    run_loss(Tape(seed=0))  # the analytic pass, which keeps each layer's input
+    values, resumed = params.values, []
+    for name, lo in zip(params.names(), params.offsets):
+        run = loss_for(name)
+        if run is not run_loss:
+            resumed.append(name)
+        orig = values[lo]
+        for step in (gradcheck.STEP, -gradcheck.STEP):
+            values[lo] = orig + step
+            full = paused_value(run_loss, seed=0).value
+            assert paused_value(run, seed=0).value.tobytes() == full.tobytes(), (name, step)
+        values[lo] = orig
+    assert resumed == [n for n in params.names()
+                       if not n.startswith(("adj_embed.", "attr_embed."))]
 
 
 def test_paused_pass_checks_no_op_and_recording_pass_checks_every_op(monkeypatch):
@@ -260,3 +287,4 @@ def test_model_gradcheck_encodes_once_per_loss_evaluation(monkeypatch):
     assert report.passed
     assert len(sizes) == 1
     assert len(calls) == 1 + 2 * sizes[0]
+    assert report.evaluations == len(calls)
