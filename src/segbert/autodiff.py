@@ -20,10 +20,10 @@ private kernels that the fused ops share with ``linear`` and ``gelu``.
 ``linear`` (matrix product plus a bias row) and ``mlp`` also take a
 constant scipy sparse matrix as their input. Alongside them sit the
 other primitives: matrix products (including block-diagonal ones for
-per-segment attention), broadcasting add/multiply, scaling, row-wise
-softmax and layer norm, ReLU, inverted dropout, row gathering, column
-slicing and concatenation, row means, row-pair cosine similarity, and
-the two loss reductions (mean squared error, softmax cross-entropy).
+per-segment attention), add/multiply (same shapes or by a row), scaling,
+row-wise softmax and layer norm, ReLU, inverted dropout, row gathering,
+column slicing and concatenation, row means, row-pair cosine similarity,
+and the two loss reductions (mean squared error, softmax cross-entropy).
 Adam with decoupled weight decay and global-norm clipping live here
 too; both update a model's flat value and gradient vectors, of which
 its parameter tensors' values and grads are views.
@@ -231,9 +231,7 @@ def _attention(op: str, q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
                block: int, rate: float, draw) -> tuple:
     """Scaled dot-product attention per segment of ``block`` rows and
     per head, with inverted attention dropout when ``draw`` (the tape
-    RNG's ``random``) is given. The gradient function takes the output
-    gradient and whether the value and the query/key gradients are
-    needed, and returns (gq, gk, gv), None where not needed."""
+    RNG's ``random``) is given. Its gradient function returns (gq, gk, gv)."""
     if q.shape != k.shape or q.shape != v.shape:
         raise ShapeError(
             f"{op}: shapes differ: q {q.shape}, k {k.shape}, v {v.shape}")
@@ -272,11 +270,9 @@ def _attention(op: str, q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
         mixed = probs * mask
     value = merge(np.matmul(mixed, v4))
 
-    def grads(g, need_v: bool, need_qk: bool):
+    def grads(g):
         g4 = split(g)
-        gv = merge(np.matmul(swap(mixed), g4)) if need_v else None
-        if not need_qk:
-            return None, None, gv
+        gv = merge(np.matmul(swap(mixed), g4))
         dp = np.matmul(g4, swap(v4))
         if mask is not None:
             dp *= mask
@@ -336,6 +332,10 @@ class Tape:
             self.entries.append(TapeEntry(op, inputs, out, lambda: backward(out.grad)))
         return out
 
+    def _unary(self, op: str, a: Tensor, value: np.ndarray, grad: Callable) -> Tensor:
+        """``_record`` for one input: ``grad`` maps the output gradient to a's."""
+        return self._record(op, (a,), value, lambda g: a._accumulate(grad(g)))
+
     # ------------------------------------------------------------------
     # core ops
 
@@ -385,14 +385,12 @@ class Tape:
         act, act_grad = _gelu(hidden)
         value, out_grads = _linear("mlp", act, w2, b2)
         need_x = x is not None and x.requires_grad
-        need_hidden = need_x or w1.requires_grad or b1.requires_grad
 
         def backward(g):
-            g_act = out_grads(g, need_hidden)
-            if need_hidden:
-                gx = hidden_grads(act_grad(g_act), need_x)
-                if need_x:
-                    x._accumulate(gx)
+            g_act = out_grads(g, True)
+            gx = hidden_grads(act_grad(g_act), need_x)
+            if need_x:
+                x._accumulate(gx)
 
         inputs = (w1, b1, w2, b2) if x is None else (x, w1, b1, w2, b2)
         return self._record("mlp", inputs, value, backward)
@@ -408,32 +406,24 @@ class Tape:
     def _broadcast_binary(self, op: str, a, b, fn, da_fn, db_fn) -> Tensor:
         a, b = self._coerce(a), self._coerce(b)
         sa, sb = a.value.shape, b.value.shape
-        ok = (sa == sb
-              or (sb == (1, sa[1]))
-              or (sb == (1, 1)))
-        if not ok:
+        if sb != sa and sb != (1, sa[1]):
             raise ShapeError(f"{op}: shapes do not broadcast: {sa} vs {sb}")
         value = fn(a.value, b.value)
-
-        def reduce_to(shape: tuple[int, int], g: np.ndarray) -> np.ndarray:
-            if shape == g.shape:
-                return g
-            if shape == (1, 1):
-                return g.sum(keepdims=True)
-            return g.sum(axis=0, keepdims=True)
 
         def backward(g):
             if a.requires_grad:
                 da = da_fn(g, a.value, b.value)
                 a._accumulate(da, shared=da is g)
             if b.requires_grad:
-                db = reduce_to(b.value.shape, db_fn(g, a.value, b.value))
+                db = db_fn(g, a.value, b.value)
+                if db.shape != b.value.shape:
+                    db = db.sum(axis=0, keepdims=True)
                 b._accumulate(db, shared=db is g)
 
         return self._record(op, (a, b), value, backward)
 
     def add(self, a, b) -> Tensor:
-        """Elementwise sum. ``b`` may be 1 x d (bias row) or 1 x 1."""
+        """Elementwise sum. ``b`` may be a 1 x d bias row."""
         return self._broadcast_binary(
             "add", a, b,
             lambda x, y: x + y,
@@ -474,12 +464,7 @@ class Tape:
         a = self._coerce(a)
         c = float(c)
         value = a.value * c
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * c)
-
-        return self._record("scale", (a,), value, backward)
+        return self._unary("scale", a, value, lambda g: g * c)
 
     # ------------------------------------------------------------------
     # nonlinearities and normalization
@@ -487,23 +472,13 @@ class Tape:
     def relu(self, a) -> Tensor:
         a = self._coerce(a)
         value = np.maximum(a.value, 0.0)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * (value > 0.0))
-
-        return self._record("relu", (a,), value, backward)
+        return self._unary("relu", a, value, lambda g: g * (value > 0.0))
 
     def gelu(self, a) -> Tensor:
         """Exact GELU, x * Phi(x) with the Gaussian CDF."""
         a = self._coerce(a)
         value, grad = _gelu(a.value)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(grad(g))
-
-        return self._record("gelu", (a,), value, backward)
+        return self._unary("gelu", a, value, grad)
 
     def softmax_rows(self, a) -> Tensor:
         a = self._coerce(a)
@@ -511,12 +486,11 @@ class Tape:
         e = np.exp(shifted)
         value = e / e.sum(axis=1, keepdims=True)
 
-        def backward(g):
-            if a.requires_grad:
-                dot = (g * value).sum(axis=1, keepdims=True)
-                a._accumulate(value * (g - dot))
+        def grad(g):
+            dot = (g * value).sum(axis=1, keepdims=True)
+            return value * (g - dot)
 
-        return self._record("softmax_rows", (a,), value, backward)
+        return self._unary("softmax_rows", a, value, grad)
 
     def layer_norm_rows(self, a) -> Tensor:
         """Per-row normalization to zero mean, unit variance.
@@ -526,12 +500,7 @@ class Tape:
         """
         a = self._coerce(a)
         value, inv = _normalize_rows(a.value)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_normalize_rows_grad(g, value, inv))
-
-        return self._record("layer_norm_rows", (a,), value, backward)
+        return self._unary("layer_norm_rows", a, value, lambda g: _normalize_rows_grad(g, value, inv))
 
     def add_layer_norm(self, a, b, gain, bias) -> Tensor:
         """``add(mul(layer_norm_rows(add(a, b)), gain), bias)`` as one op,
@@ -580,12 +549,7 @@ class Tape:
         keep = 1.0 - rate
         mask = (self.rng.random(a.value.shape) >= rate) / keep
         value = a.value * mask
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * mask)
-
-        return self._record("dropout", (a,), value, backward)
+        return self._unary("dropout", a, value, lambda g: g * mask)
 
     # ------------------------------------------------------------------
     # structure ops
@@ -601,13 +565,12 @@ class Tape:
                 f"take_rows: index out of range for {a.value.shape[0]} rows")
         value = a.value[idx]
 
-        def backward(g):
-            if a.requires_grad:
-                full = np.zeros_like(a.value)
-                np.add.at(full, idx, g)
-                a._accumulate(full)
+        def grad(g):
+            full = np.zeros_like(a.value)
+            np.add.at(full, idx, g)
+            return full
 
-        return self._record("take_rows", (a,), value, backward)
+        return self._unary("take_rows", a, value, grad)
 
     def concat_rows(self, tensors: Sequence) -> Tensor:
         return self._concat("concat_rows", tensors, 0)
@@ -643,25 +606,19 @@ class Tape:
                 f"slice_cols: [{start}:{stop}] invalid for shape {a.value.shape}")
         value = a.value[:, start:stop].copy()
 
-        def backward(g):
-            if a.requires_grad:
-                full = np.zeros_like(a.value)
-                full[:, start:stop] = g
-                a._accumulate(full)
+        def grad(g):
+            full = np.zeros_like(a.value)
+            full[:, start:stop] = g
+            return full
 
-        return self._record("slice_cols", (a,), value, backward)
+        return self._unary("slice_cols", a, value, grad)
 
     def mean_rows(self, a) -> Tensor:
         """Column-wise mean across rows; an n x d input gives 1 x d."""
         a = self._coerce(a)
         n = a.value.shape[0]
         value = np.add.reduce(a.value, axis=0, keepdims=True) / n
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(np.repeat(g / n, n, axis=0))
-
-        return self._record("mean_rows", (a,), value, backward)
+        return self._unary("mean_rows", a, value, lambda g: np.repeat(g / n, n, axis=0))
 
     # ------------------------------------------------------------------
     # blocked attention products
@@ -743,20 +700,15 @@ class Tape:
         ctx, attn_grads = _attention(op, q, k, v, heads, block, rate, draw)
         result, out_grads = _linear(op, ctx, wo, bo)
         need_x = x.requires_grad
-        need_v = need_x or wv.requires_grad or bv.requires_grad
-        need_qk = need_x or any(t.requires_grad for t in (wq, bq, wk, bk))
 
         def backward(g):
-            g_ctx = out_grads(g, need_v or need_qk)
-            if g_ctx is None:
-                return
-            gq, gk, gv = attn_grads(g_ctx, need_v, need_qk)
+            g_ctx = out_grads(g, True)
+            gq, gk, gv = attn_grads(g_ctx)
             # into x as the separate projections would: value, key, query
             for g_proj, grads in ((gv, v_grads), (gk, k_grads), (gq, q_grads)):
-                if g_proj is not None:
-                    gx = grads(g_proj, need_x)
-                    if need_x:
-                        x._accumulate(gx)
+                gx = grads(g_proj, need_x)
+                if need_x:
+                    x._accumulate(gx)
 
         return self._record(op, inputs, result, backward)
 
@@ -779,14 +731,13 @@ class Tape:
         u[zero] = 0.0
         value = u @ u.T
 
-        def backward(g):
-            if a.requires_grad:
-                du = (g + g.T) @ u
-                ga = (du - u * (du * u).sum(axis=1, keepdims=True)) / safe
-                ga[zero] = 0.0
-                a._accumulate(ga)
+        def grad(g):
+            du = (g + g.T) @ u
+            ga = (du - u * (du * u).sum(axis=1, keepdims=True)) / safe
+            ga[zero] = 0.0
+            return ga
 
-        return self._record("cosine_rows", (a,), value, backward)
+        return self._unary("cosine_rows", a, value, grad)
 
     def mse(self, a, target) -> Tensor:
         """Mean of squared differences over all entries; returns 1 x 1."""
@@ -797,12 +748,7 @@ class Tape:
         diff = a.value - t
         # np.mean's arithmetic (sum, then divide) without its Python wrapper
         value = np.add.reduce(diff * diff, axis=None, keepdims=True) / diff.size
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g[0, 0] * 2.0 * diff / diff.size)
-
-        return self._record("mse", (a,), value, backward)
+        return self._unary("mse", a, value, lambda g: g[0, 0] * 2.0 * diff / diff.size)
 
     def cross_entropy(self, logits, targets) -> Tensor:
         """Softmax cross-entropy summed over rows; returns 1 x 1.
@@ -821,12 +767,7 @@ class Tape:
         lse = m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
         value = np.array([[np.sum(lse - (x * t).sum(axis=1, keepdims=True))]])
         softmax = np.exp(x - lse)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g[0, 0] * (softmax - t))
-
-        return self._record("cross_entropy", (a,), value, backward)
+        return self._unary("cross_entropy", a, value, lambda g: g[0, 0] * (softmax - t))
 
     # ------------------------------------------------------------------
     # reverse pass

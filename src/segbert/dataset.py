@@ -318,8 +318,15 @@ def write_tu_dataset(dataset: GraphDataset, directory: str) -> None:
 
     Labels and tags are written through the inverse of the recorded
     maps when available, so a load/write/load cycle reproduces the same
-    in-memory structure.
+    in-memory structure. The layout needs a tag and an attribute row for
+    every node, so a set where only some graphs have them is rejected
+    before any file is written.
     """
+    for field, what in (("node_tags", "tags"), ("node_attributes", "attributes")):
+        missing = [i for i, g in enumerate(dataset.graphs) if getattr(g, field) is None]
+        if 0 < len(missing) < len(dataset.graphs):
+            raise ValueError(f"graph {missing[0]} has no node {what} while others do: "
+                             "the TU layout needs a row for every node")
     os.makedirs(directory, exist_ok=True)
     prefix = os.path.join(directory, dataset.name)
     inv_label = {v: k for k, v in dataset.label_map.items()} or None

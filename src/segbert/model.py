@@ -285,14 +285,23 @@ class GraphInputs:
 def prepare_graph(g: GraphInstance, features: GraphFeatures, plan: UnifyPlan,
                   config: ModelConfig, order=None) -> GraphInputs:
     """GraphInputs of one graph: the dataset pass over a one-graph list."""
+    _check_plan(plan, config)
     return _prepare([g], [features], plan, config, [order])[0]
 
 
 def prepare_dataset(dataset: GraphDataset, plan: UnifyPlan,
                     config: ModelConfig) -> list:
     """GraphInputs for every graph, with the shared WL dictionary."""
+    _check_plan(plan, config)
     features = dataset_bundles(dataset, config.n_adj, config.wl_iterations)
     return _prepare(dataset.graphs, features, plan, config)
+
+
+def _check_plan(plan: UnifyPlan, config: ModelConfig) -> None:
+    """Segments are cut k slots long and attention blocks rows by segment_k."""
+    if plan.k != config.segment_k:
+        raise ValueError(f"plan k {plan.k} differs from config segment_k {config.segment_k}: "
+                         "attention would cross segment boundaries")
 
 
 def _check_features(graphs: list, features: list) -> None:

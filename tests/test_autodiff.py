@@ -7,6 +7,7 @@ against a scalar reference implementation written independently here.
 
 import ast
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -620,6 +621,45 @@ def test_shape_mismatch_names_both_shapes():
         tape.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))))
     assert "(2, 3)" in str(exc.value) and "(3, 3)" in str(exc.value)
 
+    # a 1 x d row broadcasts, a 1 x 1 operand does not
+    for op in (tape.add, tape.mul):
+        with pytest.raises(ShapeError, match="shapes do not broadcast") as exc:
+            op(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 1))))
+        assert "(2, 3)" in str(exc.value) and "(1, 1)" in str(exc.value)
+
+
+ONE_INPUT_OPS = {
+    "scale": lambda t, a: t.scale(a, -1.7),
+    "relu": lambda t, a: t.relu(a),
+    "gelu": lambda t, a: t.gelu(a),
+    "softmax_rows": lambda t, a: t.softmax_rows(a),
+    "layer_norm_rows": lambda t, a: t.layer_norm_rows(a),
+    "dropout": lambda t, a: t.dropout(a, 0.5, training=True),
+    "take_rows": lambda t, a: t.take_rows(a, [2, 0, 2]),
+    "slice_cols": lambda t, a: t.slice_cols(a, 1, 3),
+    "mean_rows": lambda t, a: t.mean_rows(a),
+    "cosine_rows": lambda t, a: t.cosine_rows(a),
+    "mse": lambda t, a: t.mse(a, np.ones((3, 4))),
+    "cross_entropy": lambda t, a: t.cross_entropy(a, np.eye(3, 4)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(ONE_INPUT_OPS))
+def test_one_input_op_records_one_entry_only_for_an_input_needing_a_gradient(op):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((3, 4))
+    tape = Tape(seed=0)
+    out = ONE_INPUT_OPS[op](tape, Tensor(x))
+    assert tape.entries == [] and not out.requires_grad
+    a = Tensor(x, requires_grad=True)
+    out = ONE_INPUT_OPS[op](tape, a)
+    entry, = tape.entries
+    assert entry.op == op and entry.output is out
+    assert len(entry.inputs) == 1 and entry.inputs[0] is a
+    out.grad = rng.standard_normal(out.shape)
+    entry.backward()
+    assert a.grad.shape == x.shape and np.isfinite(a.grad).all() and a.grad.any()
+
 
 def test_non_finite_result_names_op():
     tape = Tape()
@@ -863,3 +903,31 @@ def test_every_public_tape_method_has_a_caller():
     public = {name for name, _ in inspect.getmembers(Tape, inspect.isfunction)
               if not name.startswith("_")}
     assert sorted(public - called - set(traced)) == []
+
+
+def test_every_private_helper_has_a_caller():
+    """Each module-private function and private Tape method in
+    src/segbert is referenced somewhere outside its own body, so a
+    refactor cannot leave a kernel or helper behind with no caller."""
+    root = Path(__file__).resolve().parent.parent
+    trees = [ast.parse(path.read_text())
+             for path in sorted((root / "src" / "segbert").glob("*.py"))]
+
+    def private(defs):
+        return [d for d in defs if isinstance(d, ast.FunctionDef)
+                and d.name.startswith("_") and not d.name.endswith("__")]
+
+    helpers = []
+    for tree in trees:
+        helpers += private(tree.body)
+        helpers += [f for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "Tape"
+                    for f in private(c.body)]
+    assert any(h.name == "_record" for h in helpers)  # the walk reaches Tape
+
+    def references(node):  # identifiers read as names or attributes
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    everywhere = sum(map(references, trees), Counter())
+    orphans = [h.name for h in helpers if everywhere[h.name] == references(h)[h.name]]
+    assert orphans == []

@@ -167,6 +167,19 @@ def test_round_trip_handwritten(tmp_path):
         assert (a.node_count, a.edges, a.label) == (b.node_count, b.edges, b.label)
 
 
+@pytest.mark.parametrize("field, what", [("node_tags", "tags"),
+                                         ("node_attributes", "attributes")])
+def test_write_rejects_a_set_where_only_some_graphs_have_node_rows(tmp_path, field, what):
+    """The writer used to raise TypeError after writing the indicator,
+    label and arc files; it now checks before any file is opened."""
+    ds = synth_dataset(count=14, seed=3, with_tags=True, with_attrs=True)
+    setattr(ds.graphs[5], field, None)
+    setattr(ds.graphs[9], field, None)
+    with pytest.raises(ValueError, match=f"graph 5 has no node {what} while others do"):
+        write_tu_dataset(ds, str(tmp_path))
+    assert os.listdir(tmp_path) == []
+
+
 def test_weight_matrix():
     ds = synth_dataset(count=10, seed=1)
     g = ds.graphs[0]

@@ -204,3 +204,19 @@ def test_adjacency_row_count_is_checked():
     config = ModelConfig(n_adj=5, segment_k=5, hidden_dim=4, head_count=2, intermediate_dim=4)
     with pytest.raises(ValueError, match="graph 0: adjacency has 6 rows for 5 nodes"):
         prepare_graph(g, features, UnifyPlan(Strategy.FULL_INPUT, 5), config)
+
+
+@pytest.mark.parametrize("dataset_pass", [False, True])
+def test_a_plan_k_other_than_segment_k_is_rejected(dataset_pass):
+    """An 8-node path cut into two 4-slot segments under segment_k 8
+    used to prepare, and attention then crossed the two segments."""
+    g = path_graph(8)
+    ds = GraphDataset(name="PATH", graphs=[g], class_count=2, attr_dim=0,
+                      tag_vocab_size=0, max_nodes=8, avg_nodes=8.0)
+    plan = UnifyPlan(Strategy.SEGMENT_SHIFTING, 4)
+    config = dataclasses.replace(config_for(ds, plan), segment_k=8)
+    with pytest.raises(ValueError, match="plan k 4 differs from config segment_k 8"):
+        if dataset_pass:
+            prepare_dataset(ds, plan, config)
+        else:
+            prepare_graph(g, build_bundles(g, config.n_adj), plan, config)
