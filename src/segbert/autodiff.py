@@ -22,8 +22,10 @@ constant scipy sparse matrix as their input. Alongside them sit the
 other primitives: matrix products (including block-diagonal ones for
 per-segment attention), add/multiply (same shapes or by a row), scaling,
 row-wise softmax and layer norm, ReLU, inverted dropout, row gathering,
-column slicing and concatenation, row means, row-pair cosine similarity,
-and the two loss reductions (mean squared error, softmax cross-entropy).
+column slicing and concatenation, grouped row means (one mean row per
+group of rows, each group summed on its own), row-pair cosine
+similarity, and the two loss reductions (mean squared error, softmax
+cross-entropy).
 Adam with decoupled weight decay and global-norm clipping live here
 too; both update a model's flat value and gradient vectors, of which
 its parameter tensors' values and grads are views.
@@ -613,12 +615,37 @@ class Tape:
 
         return self._unary("slice_cols", a, value, grad)
 
-    def mean_rows(self, a) -> Tensor:
-        """Column-wise mean across rows; an n x d input gives 1 x d."""
+    def mean_rows(self, a, groups: Sequence) -> Tensor:
+        """Row i is the column mean of the rows of ``a`` listed in
+        ``groups[i]``: len(groups) x d. The groups are non-empty, in
+        range and disjoint. Each group is summed on its own, so its row
+        has the same bits whatever other groups share the call."""
         a = self._coerce(a)
-        n = a.value.shape[0]
-        value = np.add.reduce(a.value, axis=0, keepdims=True) / n
-        return self._unary("mean_rows", a, value, lambda g: np.repeat(g / n, n, axis=0))
+        rows = a.value.shape[0]
+        idx = [np.asarray(group, dtype=np.intp) for group in groups]
+        if not idx or any(i.ndim != 1 for i in idx):
+            raise ShapeError("mean_rows: groups must be a non-empty list of 1-D index lists")
+        counts = np.array([len(i) for i in idx])
+        if not counts.all():
+            raise ShapeError(f"mean_rows: group {int(np.argmin(counts))} is empty")
+        flat = np.concatenate(idx)
+        # viewed as unsigned, a negative index is past every row count
+        if (flat.view(np.uintp) >= rows).any():
+            raise ShapeError(f"mean_rows: index out of range for {rows} rows")
+        if np.bincount(flat).max() > 1:
+            raise ShapeError("mean_rows: groups share a row")
+        # one gather, then each group's rows summed from a contiguous slice
+        gathered, ends = a.value[flat], np.cumsum(counts).tolist()
+        value = np.array([np.add.reduce(gathered[lo:hi], axis=0)
+                          for lo, hi in zip([0, *ends], ends)])
+        value /= counts[:, None]
+
+        def grad(g):
+            full = np.zeros_like(a.value)
+            full[flat] = np.repeat(g / counts[:, None], counts, axis=0)
+            return full
+
+        return self._unary("mean_rows", a, value, grad)
 
     # ------------------------------------------------------------------
     # blocked attention products

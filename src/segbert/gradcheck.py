@@ -141,7 +141,7 @@ def model_gradcheck(residual_mode: str = ModelConfig.residual_mode,
                                 if e.op == "attention_block")
             layer_inputs.append(Tensor(h.value))
         h_final = tape.take_rows(h, batch.real_slot_lists[0])
-        z = tape.mean_rows(h_final)
+        z = tape.mean_rows(h, batch.real_slot_lists)
         logits = tape.linear(z, params["classifier.weight"], params["classifier.bias"])
         ce = tape.cross_entropy(logits, onehot)
         recon = tape.mse(reconstruct_attributes(tape, params, h_final), raw_target)

@@ -6,10 +6,12 @@ labels), a two-layer FC embedding of the node's adjacency row under
 the graph's fixed artificial order, the degree sinusoid, and the WL
 code sinusoid. A stack of post-norm transformer layers then attends
 within each segment of k slots; dummy slots participate like real
-ones. The graph representation is the mean of the real-node rows, fed
-to a linear softmax classifier. Two auxiliary heads support
-pre-training: a linear reconstruction of the raw rows and a row-pair
-cosine recovery of the connection-weight matrix.
+ones. The graph representation is the mean of the real-node rows: one
+grouped ``mean_rows`` op per batch sums each graph's own rows, so a
+graph's pooled row has the same bits in any batch. It feeds a linear
+softmax classifier. Two auxiliary heads support pre-training: a linear
+reconstruction of the raw rows and a row-pair cosine recovery of the
+connection-weight matrix.
 
 Attention is executed in blocked form: all segments of a minibatch are
 stacked into one (segments * k) x d_h matrix. One fused
@@ -399,7 +401,6 @@ class BatchData:
     attr: np.ndarray | None
     raw: np.ndarray | CsrRows
     real_slot_lists: list
-    avg_matrix: np.ndarray
     labels_onehot: np.ndarray
     members: list
 
@@ -416,19 +417,15 @@ def build_batch(graph_inputs: list, class_count: int) -> BatchData:
         raise ValueError("empty batch")
     consts, attrs = [], []
     real_lists = []
+    labels = np.zeros((len(graph_inputs), class_count))
     offset = 0
-    for gi in graph_inputs:
+    for b, gi in enumerate(graph_inputs):
         consts.append(gi.const_rows)
         if gi.attr_rows is not None:
             attrs.append(gi.attr_rows)
         real_lists.append(gi.real_slots + offset)
-        offset += gi.slot_count
-    total = offset
-    avg = np.zeros((len(graph_inputs), total))
-    labels = np.zeros((len(graph_inputs), class_count))
-    for b, (gi, slots) in enumerate(zip(graph_inputs, real_lists)):
-        avg[b, slots] = 1.0 / len(slots)
         labels[b, gi.label] = 1.0
+        offset += gi.slot_count
     adj = CsrRows.stack([gi.adj_rows for gi in graph_inputs])
     attr = np.concatenate(attrs, axis=0) if attrs else None
     return BatchData(
@@ -437,7 +434,6 @@ def build_batch(graph_inputs: list, class_count: int) -> BatchData:
         attr=attr,
         raw=adj if attr is None else attr,
         real_slot_lists=real_lists,
-        avg_matrix=avg,
         labels_onehot=labels,
         members=list(graph_inputs),
     )
@@ -515,7 +511,7 @@ def classify_batch(tape: Tape, params: ModelParams, config: ModelConfig,
                    batch: BatchData, training: bool):
     """Summed cross-entropy over the batch; returns (loss, logits)."""
     h = encode(tape, params, config, batch, training)
-    z = tape.matmul(tape.constant(batch.avg_matrix), h)
+    z = tape.mean_rows(h, batch.real_slot_lists)
     logits = _linear(tape, params, "classifier", z)
     loss = tape.cross_entropy(logits, batch.labels_onehot)
     return loss, logits

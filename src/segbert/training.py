@@ -217,9 +217,9 @@ def evaluate_accuracy(params: ModelParams, config: ModelConfig, inputs: list,
     The graphs go through in index order, in batches of at most
     ``EVAL_SLOTS`` slots; a graph larger than that forms a batch alone.
     A budget in slots rather than graphs keeps each batch's arrays,
-    the (graphs, heads, k, k) attention scores and the graphs x slots
-    pooling matrix, near cache size whatever the graphs' size: 256
-    graphs of 100 slots made each of those arrays 40-50 MB.
+    such as the (graphs, heads, k, k) attention scores, near cache size
+    whatever the graphs' size: 256 graphs of 100 slots made that array
+    41 MB.
 
     Each batch runs through ``paused_value``: only its logits are
     checked for NaN and Inf, and non-finite logits replay the batch on

@@ -56,7 +56,7 @@ def forward_graph(params: ModelParams, config: ModelConfig, gi: GraphInputs,
     batch = build_batch([gi], config.class_count)
     h = encode(tape, params, config, batch, training)
     h_final = tape.take_rows(h, batch.real_slot_lists[0])
-    z = tape.mean_rows(h_final)
+    z = tape.mean_rows(h, batch.real_slot_lists)
     logits = tape.linear(z, params["classifier.weight"], params["classifier.bias"])
     y_hat = tape.softmax_rows(logits)
     return GraphOutput(h_final=h_final, z=z, y_hat=y_hat)

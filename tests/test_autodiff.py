@@ -240,9 +240,31 @@ def test_sparse_linear_shape_and_finiteness_checks():
 
 
 def test_mean_rows_value():
-    x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    out = Tape().mean_rows(Tensor(x))
-    assert np.allclose(out.value, [[3.0, 4.0]], atol=1e-15)
+    x = np.random.default_rng(3).standard_normal((7, 3))
+    groups = [[6, 0, 2], [4], [1, 5]]
+    out = Tape().mean_rows(Tensor(x), groups)
+    assert np.array_equal(out.value, np.stack([np.mean(x[g], axis=0) for g in groups]))
+    # every row in one group is the column mean of the whole input
+    assert np.array_equal(Tape().mean_rows(Tensor(x), [range(7)]).value,
+                          np.mean(x, axis=0, keepdims=True))
+
+
+@pytest.mark.parametrize("groups, message", [
+    ([[0, 1], []], "group 1 is empty"),
+    ([[0, 6]], "index out of range for 6 rows"),
+    ([[-1, 2]], "index out of range for 6 rows"),
+    ([[0, 3], [2, 3]], "groups share a row"),
+    ([], "groups must be a non-empty list of 1-D index lists"),
+    ([[[0, 1]]], "groups must be a non-empty list of 1-D index lists"),
+])
+def test_mean_rows_rejects_bad_groups_before_computing(groups, message):
+    # an op that computed first would meet the Inf input and fail with
+    # NonFiniteError (or a floating-point error on an empty mean) instead
+    x = Tensor(np.full((6, 4), np.inf), requires_grad=True)
+    tape = Tape()
+    with np.errstate(all="raise"), pytest.raises(ShapeError, match=f"mean_rows: {message}"):
+        tape.mean_rows(x, groups)
+    assert tape.entries == []
 
 
 @pytest.mark.parametrize("bad", [-1, 6, np.iinfo(np.intp).min])
@@ -338,7 +360,8 @@ def test_finite_differences_every_primitive():
         "concat_cols": lambda t, x: scalarize(
             t, t.concat_cols([x, t.scale(x, 0.5)]), proj6x8),
         "slice_cols": lambda t, x: scalarize(t, t.slice_cols(x, 1, 4), proj6x4[:, 1:4]),
-        "mean_rows": lambda t, x: scalarize(t, t.mean_rows(x), proj1x4),
+        "mean_rows": lambda t, x: scalarize(t, t.mean_rows(x, [range(6)]), proj1x4),
+        "mean_rows_groups": lambda t, x: scalarize(t, t.mean_rows(x, [[5, 0, 3], [2]]), proj6x4[:2]),
         "cosine": lambda t, x: scalarize(t, t.cosine_rows(x), proj6x6),
         "mse": lambda t, x: t.mse(x, other),
         "cross_entropy": lambda t, x: t.cross_entropy(x, onehot),
@@ -637,7 +660,7 @@ ONE_INPUT_OPS = {
     "dropout": lambda t, a: t.dropout(a, 0.5, training=True),
     "take_rows": lambda t, a: t.take_rows(a, [2, 0, 2]),
     "slice_cols": lambda t, a: t.slice_cols(a, 1, 3),
-    "mean_rows": lambda t, a: t.mean_rows(a),
+    "mean_rows": lambda t, a: t.mean_rows(a, [[2, 0], [1]]),
     "cosine_rows": lambda t, a: t.cosine_rows(a),
     "mse": lambda t, a: t.mse(a, np.ones((3, 4))),
     "cross_entropy": lambda t, a: t.cross_entropy(a, np.eye(3, 4)),

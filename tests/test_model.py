@@ -1,10 +1,13 @@
 """Model forward passes, embeddings, heads, checkpoints."""
 
+import functools
 import pickle
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from segbert.autodiff import Tape, Tensor
@@ -379,7 +382,6 @@ def test_segment_shifting_28_nodes_two_segments_concatenate():
         part = BatchData(
             const=batch.const[rows], adj=adj, attr=None,
             raw=adj, real_slot_lists=[np.arange(20)],
-            avg_matrix=np.full((1, 20), 1 / 20.0),
             labels_onehot=np.zeros((1, 2)), members=[gi])
         alone = encode(Tape(), params, cfg, part, training=False)
         assert np.allclose(alone.value, full.value[rows], atol=1e-10)
@@ -400,6 +402,45 @@ def test_batched_classification_matches_per_graph_forward():
         assert np.allclose(e / e.sum(), solo.y_hat.value[0], atol=1e-9)
 
 
+@functools.cache
+def pooling_case(k: int):
+    """Ten tagged graphs of 1 to 13 nodes, segment-shifted at k, with
+    params and each graph's pooled row when it is pooled alone. At k=3
+    there are dummy slots and up to five segments; at k=1 the 1-node
+    graph is a 1-slot graph."""
+    graphs = [attach_tags(path_graph(n) if n < 3 else cycle_graph(n))
+              for n in (1, 2, 4, 5, 7, 8, 9, 10, 11, 13)]
+    cfg = tiny_config(segment_k=k, n_adj=15 if k == 3 else 13, use_tags=True)
+    plan = UnifyPlan(Strategy.SEGMENT_SHIFTING, k)
+    inputs = [prepare_graph(g, build_bundles(g, n_adj=cfg.n_adj), plan, cfg) for g in graphs]
+    params = init_params(cfg, seed=3)
+    alone = [pooled_rows(params, cfg, [gi])[0].tobytes() for gi in inputs]
+    return cfg, params, inputs, alone
+
+
+def pooled_rows(params, cfg, inputs):
+    """The classifier's input in an eval-mode classify_batch: one pooled
+    row per graph."""
+    tape = Tape()
+    classify_batch(tape, params, cfg, build_batch(inputs, cfg.class_count), training=False)
+    head = next(e for e in reversed(tape.entries) if e.op == "linear")
+    return head.inputs[0].value
+
+
+@pytest.mark.parametrize("k", [3, 1])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_graphs_pooled_row_does_not_depend_on_its_batch(k, data):
+    cfg, params, inputs, alone = pooling_case(k)
+    order = data.draw(st.permutations(range(len(inputs))))
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(inputs) - 1))))
+    for lo, hi in zip([0, *cuts], [*cuts, len(inputs)]):
+        members = order[lo:hi]
+        rows = pooled_rows(params, cfg, [inputs[i] for i in members])
+        differ = [i for i, row in zip(members, rows) if row.tobytes() != alone[i]]
+        assert differ == [], f"graphs {differ} of batch {members}"
+
+
 def test_training_tape_length_is_pinned():
     """One training classify_batch on the toy graph, 2 layers with the
     raw residual, records 19 ops: 3 embedding, 1 residual, 6 per layer
@@ -416,7 +457,7 @@ def test_training_tape_length_is_pinned():
     ops = [e.op for e in tape.entries]
     layer = ["attention_block", "add_layer_norm", "mlp", "dropout", "add_layer_norm", "add"]
     assert ops == (["mlp", "linear", "add_n", "linear"] + layer * 2
-                   + ["matmul", "linear", "cross_entropy"])
+                   + ["mean_rows", "linear", "cross_entropy"])
     assert len(ops) == 19
 
 

@@ -51,7 +51,8 @@ OP_CASES = {
     "concat_rows": lambda t, x: t.concat_rows([x, Tensor(OTHER)]),
     "concat_cols": lambda t, x: t.concat_cols([x, Tensor(OTHER)]),
     "slice_cols": lambda t, x: t.slice_cols(x, 1, 3),
-    "mean_rows": lambda t, x: t.mean_rows(x),
+    "mean_rows": lambda t, x: t.mean_rows(x, [range(6)]),
+    "mean_rows/groups": lambda t, x: t.mean_rows(x, [[5, 0], [3], [1, 2, 4]]),
     "attention_scores": lambda t, x: t.attention_scores(x, Tensor(OTHER), 2),
     "attention_apply": lambda t, x: t.attention_apply(Tensor(PROBS), x, 2),
     "attention_block": lambda t, x: t.attention_block(
