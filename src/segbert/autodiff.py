@@ -185,22 +185,23 @@ def _normalize_rows_grad(g: np.ndarray, y: np.ndarray, inv: np.ndarray) -> np.nd
 # parameter tensors it was given on the way.
 
 
-def _linear(op: str, xv, w: Tensor, b: Tensor) -> tuple:
-    """xv @ w plus the bias row b. The gradient function returns the
-    input gradient when asked for it."""
+def _linear(op: str, xv, w: Tensor, b: Tensor | None) -> tuple:
+    """xv @ w plus the bias row b, if there is one. The gradient
+    function returns the input gradient when asked for it."""
     if xv.shape[1] != w.value.shape[0]:
         raise ShapeError(f"{op}: inner dimensions differ: {xv.shape} vs {w.value.shape}")
-    if b.value.shape != (1, w.value.shape[1]):
+    if b is not None and b.value.shape != (1, w.value.shape[1]):
         raise ShapeError(
             f"{op}: bias shape {b.value.shape} does not match weight {w.value.shape}")
     value = xv @ w.value
-    value += b.value
+    if b is not None:
+        value += b.value
 
     def grads(g, need_x: bool):
         gx = g @ w.value.T if need_x else None
         if w.requires_grad:
             w._accumulate(xv.T @ g)
-        if b.requires_grad:
+        if b is not None and b.requires_grad:
             b._accumulate(g.sum(axis=0, keepdims=True))
         return gx
 
@@ -713,15 +714,18 @@ class Tape:
         (columns h*d_head to (h+1)*d_head, d_head = d/heads),
         softmax(Q K^T / sqrt(d_head)), inverted dropout in training and
         the mix of value rows; then the output projection of the heads
-        side by side. Each projection is a (weight, bias) pair. The
-        dropout masks are one (heads, s*block, block) draw from the tape
-        RNG: the same stream as one draw per head in head order."""
+        side by side. The query, value and output projections are
+        (weight, bias) pairs and the key projection is a weight alone: a
+        key bias b would add q.b to every score of a query row, a shift
+        the softmax cancels. The dropout masks are one (heads, s*block,
+        block) draw from the tape RNG: the same stream as one draw per
+        head in head order."""
         op = "attention_block"
         x = self._coerce(x)
-        inputs = (x,) + tuple(self._coerce(t) for pair in (query, key, value, out) for t in pair)
-        wq, bq, wk, bk, wv, bv, wo, bo = inputs[1:]
+        inputs = (x,) + tuple(self._coerce(t) for t in (*query, key, *value, *out))
+        wq, bq, wk, wv, bv, wo, bo = inputs[1:]
         q, q_grads = _linear(op, x.value, wq, bq)
-        k, k_grads = _linear(op, x.value, wk, bk)
+        k, k_grads = _linear(op, x.value, wk, None)
         v, v_grads = _linear(op, x.value, wv, bv)
         draw = self.rng.random if training and rate > 0.0 else None
         ctx, attn_grads = _attention(op, q, k, v, heads, block, rate, draw)

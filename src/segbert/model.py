@@ -227,7 +227,8 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     for l in range(config.layer_count):
         for proj in ("query", "key", "value", "out"):
             weight(f"layers.{l}.attn.{proj}.weight", d, d)
-            bias(f"layers.{l}.attn.{proj}.bias", d)
+            if proj != "key":  # the softmax cancels a key bias
+                bias(f"layers.{l}.attn.{proj}.bias", d)
         bias(f"layers.{l}.norm1.gain", d, 1.0)
         bias(f"layers.{l}.norm1.bias", d)
         weight(f"layers.{l}.ffn.fc1.weight", d, config.intermediate_dim)
@@ -471,8 +472,10 @@ def transformer_layer(tape: Tape, params: ModelParams, config: ModelConfig,
                       res_term: Tensor | None = None) -> Tensor:
     """One post-norm layer over stacked segments of k slots."""
     prefix = f"layers.{layer}"
+    attn = f"{prefix}.attn"
     attn_out = tape.attention_block(
-        h, *(_pair(params, f"{prefix}.attn.{kind}") for kind in ("query", "key", "value", "out")),
+        h, _pair(params, f"{attn}.query"), params[f"{attn}.key.weight"],
+        _pair(params, f"{attn}.value"), _pair(params, f"{attn}.out"),
         config.head_count, config.segment_k, config.dropout_attention, training)
     h1 = _add_norm(tape, params, f"{prefix}.norm1", h, attn_out)
 

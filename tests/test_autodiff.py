@@ -165,7 +165,15 @@ def selecting_projections(width, starts, d):
     width-column input as the query, key and value (identity blocks,
     zero biases) and pass the heads' output through unchanged."""
     eye, zeros = np.eye(width), Tensor(np.zeros((1, d)))
-    return [(Tensor(eye[:, s:s + d]), zeros) for s in starts] + [(Tensor(np.eye(d)), zeros)]
+    q, k, v = (Tensor(eye[:, s:s + d]) for s in starts)
+    return (q, zeros), k, (v, zeros), (Tensor(np.eye(d)), zeros)
+
+
+def attention_projections(p):
+    """attention_block's projection arguments from seven arrays: the
+    query weight and bias, the key weight (a key has no bias), the
+    value weight and bias, and the output weight and bias."""
+    return (p[0], p[1]), p[2], (p[3], p[4]), (p[5], p[6])
 
 
 def test_multi_head_attention_matches_per_head_loop():
@@ -412,6 +420,7 @@ def test_finite_differences_every_primitive():
     # where step-1e-5 central differences lose their accuracy
     projections = [0.5 * rng.standard_normal(shape) for _ in range(4)
                    for shape in ((4, 4), (1, 4))]
+    del projections[3]  # the key bias
 
     def every_input(op, arrays, seed=0):
         for role, arr in enumerate(arrays):
@@ -426,7 +435,7 @@ def test_finite_differences_every_primitive():
     every_input(lambda t, a, b, g, c: t.add_layer_norm(a, b, g, c), [x0, other, gain, bias])
     for heads in (1, 2):
         every_input(lambda t, x, *p, heads=heads: t.attention_block(
-            x, *zip(p[::2], p[1::2]), heads, 2, 0.3, True), [x0, *projections], seed=5)
+            x, *attention_projections(p), heads, 2, 0.3, True), [x0, *projections], seed=5)
 
 
 def test_dropout_gradient_with_reseeded_mask():
@@ -702,7 +711,7 @@ def test_non_finite_result_names_fused_ops():
         with pytest.raises(NonFiniteError, match="'mlp'"):
             tape.mlp(big, square, square)
         with pytest.raises(NonFiniteError, match="'attention_block'"):
-            tape.attention_block(big, square, square, square, square, 2, 2, 0.0, False)
+            tape.attention_block(big, square, square[0], square, square, 2, 2, 0.0, False)
         with pytest.raises(NonFiniteError, match="'add_layer_norm'"):
             tape.add_layer_norm(big, big, Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 2))))
 
@@ -733,12 +742,12 @@ def test_fused_ops_reject_bad_shapes_and_rates():
     with pytest.raises(ShapeError, match="mlp: bias shape"):
         tape.mlp(x, square, pair(4, 4, 3))
 
-    def attention(query=square, key=square, value=square, out=square, heads=2, block=2,
+    def attention(query=square, key=square[0], value=square, out=square, heads=2, block=2,
                   rate=0.0):
         return tape.attention_block(x, query, key, value, out, heads, block, rate, True)
 
     with pytest.raises(ShapeError, match="attention_block: inner dimensions differ"):
-        attention(key=pair(3, 4))
+        attention(key=pair(3, 4)[0])
     with pytest.raises(ShapeError, match="attention_block: bias shape"):
         attention(value=pair(4, 4, 2))
     with pytest.raises(ShapeError, match="attention_block: shapes differ"):
@@ -806,14 +815,15 @@ def test_attention_block_matches_primitive_composition_bit_for_bit(heads, block)
     rng = np.random.default_rng(43)
     arrays = [rng.standard_normal((9, 4))]
     arrays += [rng.standard_normal(shape) for _ in range(4) for shape in ((4, 4), (1, 4))]
+    del arrays[4]  # the key bias
     proj = rng.standard_normal((9, 4))
     d_head = 4 // heads
 
     def fused(t, x, *p):
-        return t.attention_block(x, *zip(p[::2], p[1::2]), heads, block, 0.3, True)
+        return t.attention_block(x, *attention_projections(p), heads, block, 0.3, True)
 
     def primitive(t, x, *p):
-        q, k, v = (t.linear(x, w, b) for w, b in zip(p[:6:2], p[1:6:2]))
+        q, k, v = t.linear(x, p[0], p[1]), t.matmul(x, p[2]), t.linear(x, p[3], p[4])
         mixed = []
         for lo in range(0, 4, d_head):
             def cols(m):
@@ -821,7 +831,7 @@ def test_attention_block_matches_primitive_composition_bit_for_bit(heads, block)
             scores = t.scale(t.attention_scores(cols(q), cols(k), block), 1.0 / np.sqrt(d_head))
             probs = t.dropout(t.softmax_rows(scores), 0.3, True)
             mixed.append(t.attention_apply(probs, cols(v), block))
-        return t.linear(t.concat_cols(mixed), *p[6:])
+        return t.linear(t.concat_cols(mixed), *p[5:])
 
     assert _seeded_run(fused, arrays, proj) == _seeded_run(primitive, arrays, proj)
 

@@ -313,7 +313,7 @@ def test_gradcheck_both_modes(capsys):
     assert "residual=none" in out and "residual=raw" in out
     # per mode, the loss evaluations (1 + 2 x entries) and the wall time;
     # the raw residual adds 3 x 8 + 8 entries
-    for mode, evaluations in (("none", 1255), ("raw", 1319)):
+    for mode, evaluations in (("none", 1239), ("raw", 1303)):
         assert re.search(rf"residual={mode}: {evaluations} loss evaluations "
                          r"in \d+\.\d\ds\n", out)
 

@@ -17,6 +17,7 @@ from segbert.model import (
     BatchData,
     GraphInputs,
     ModelConfig,
+    ModelParams,
     build_batch,
     classify_batch,
     config_for,
@@ -246,7 +247,9 @@ def primitive_layer(tape, params, cfg, h, layer, training, res_term=None):
         return tape.add(tape.mul(tape.layer_norm_rows(x), params[f"{name}.gain"]),
                         params[f"{name}.bias"])
 
-    q, key, v = (dense(f"{prefix}.attn.{kind}", h) for kind in ("query", "key", "value"))
+    q = dense(f"{prefix}.attn.query", h)
+    key = tape.matmul(h, params[f"{prefix}.attn.key.weight"])
+    v = dense(f"{prefix}.attn.value", h)
     heads = []
     for hd in range(cfg.head_count):
         lo, hi = hd * d_head, (hd + 1) * d_head
@@ -295,7 +298,7 @@ def test_fused_layer_matches_primitive_composition(heads, residual):
     assert fused_next == prim_next  # the same number of draws
     assert np.max(np.abs(fused_out - prim_out)) <= 1e-12
     assert fused_grads.keys() == prim_grads.keys()
-    assert len(fused_grads) == 16 * cfg.layer_count + 1 + residual
+    assert len(fused_grads) == 15 * cfg.layer_count + 1 + residual
     for name, g in prim_grads.items():
         assert np.max(np.abs(fused_grads[name] - g)) <= 1e-12, name
 
@@ -527,6 +530,23 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.names() == params.names()
     for name in params.names():
         assert np.array_equal(loaded[name].value, params[name].value)
+
+
+def test_a_checkpoint_with_key_biases_loads_and_no_forward_reads_them(tmp_path):
+    """Checkpoints from before the key projection lost its bias hold a
+    layers.{l}.attn.key.bias tensor per layer; they load with it kept."""
+    cfg, params, gi = toy_inputs(Strategy.SEGMENT_SHIFTING, k=4, n=7)
+    arrays = {name: t.value for name, t in params.items()}
+    for layer in range(cfg.layer_count):
+        arrays[f"layers.{layer}.attn.key.bias"] = np.full((1, cfg.hidden_dim), 0.3)
+    path = str(tmp_path / "old.ckpt")
+    save_checkpoint(ModelParams.from_arrays(arrays), path)
+    loaded = load_checkpoint(path)
+    assert np.array_equal(loaded["layers.1.attn.key.bias"].value, arrays["layers.1.attn.key.bias"])
+    batch = build_batch([gi], cfg.class_count)
+    old, new = (classify_batch(Tape(), p, cfg, batch, training=False)[1].value
+                for p in (loaded, params))
+    assert np.array_equal(old, new)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

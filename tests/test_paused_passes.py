@@ -56,7 +56,8 @@ OP_CASES = {
     "attention_scores": lambda t, x: t.attention_scores(x, Tensor(OTHER), 2),
     "attention_apply": lambda t, x: t.attention_apply(Tensor(PROBS), x, 2),
     "attention_block": lambda t, x: t.attention_block(
-        x, *[(Tensor(W), Tensor(BIAS))] * 4, 2, 2, 0.3, True),
+        x, (Tensor(W), Tensor(BIAS)), Tensor(W), (Tensor(W), Tensor(BIAS)),
+        (Tensor(W), Tensor(BIAS)), 2, 2, 0.3, True),
     "cosine_rows": lambda t, x: t.cosine_rows(x),
     "mse": lambda t, x: t.mse(x, OTHER),
     "cross_entropy": lambda t, x: t.cross_entropy(x, ONEHOT),

@@ -309,9 +309,8 @@ def test_evaluate_accuracy_chunks_by_slot_budget(monkeypatch):
 
 
 def test_evaluate_accuracy_peak_memory_stays_bounded():
-    # 300 graphs of 100 slots: in batches of 256 graphs the pooling matrix
-    # alone took 256 x 25,600 float64 = 52 MB and the traced peak was
-    # 160 MB; in batches of EVAL_SLOTS = 2048 slots it measured 8.8 MB
+    # 300 graphs of 100 slots: in batches of 256 graphs the traced peak
+    # was 160 MB; in batches of EVAL_SLOTS = 2048 slots it measures 8.5 MB
     ds = synth_dataset(count=300, seed=1, with_tags=False, lo=100, hi=110)
     plan = UnifyPlan(Strategy.PADDING_PRUNING, 100)
     config = config_for(ds, plan)
