@@ -48,6 +48,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -626,24 +627,24 @@ class Tape:
         idx = [np.asarray(group, dtype=np.intp) for group in groups]
         if not idx or any(i.ndim != 1 for i in idx):
             raise ShapeError("mean_rows: groups must be a non-empty list of 1-D index lists")
-        counts = np.array([len(i) for i in idx])
-        if not counts.all():
-            raise ShapeError(f"mean_rows: group {int(np.argmin(counts))} is empty")
+        sizes = [len(i) for i in idx]
+        if 0 in sizes:
+            raise ShapeError(f"mean_rows: group {sizes.index(0)} is empty")
         flat = np.concatenate(idx)
         # viewed as unsigned, a negative index is past every row count
-        if (flat.view(np.uintp) >= rows).any():
+        if flat.view(np.uintp).max() >= rows:
             raise ShapeError(f"mean_rows: index out of range for {rows} rows")
         if np.bincount(flat).max() > 1:
             raise ShapeError("mean_rows: groups share a row")
         # one gather, then each group's rows summed from a contiguous slice
-        gathered, ends = a.value[flat], np.cumsum(counts).tolist()
+        gathered, ends = a.value[flat], list(accumulate(sizes))
+        counts = np.array(sizes)[:, None]
         value = np.array([np.add.reduce(gathered[lo:hi], axis=0)
-                          for lo, hi in zip([0, *ends], ends)])
-        value /= counts[:, None]
+                          for lo, hi in zip([0, *ends], ends)]) / counts
 
         def grad(g):
             full = np.zeros_like(a.value)
-            full[flat] = np.repeat(g / counts[:, None], counts, axis=0)
+            full[flat] = np.repeat(g / counts, sizes, axis=0)
             return full
 
         return self._unary("mean_rows", a, value, grad)
