@@ -58,6 +58,7 @@ from scipy.special import erf
 __all__ = [
     "Tensor",
     "Tape",
+    "RowGroups",
     "TapeEntry",
     "AdamState",
     "adam_step",
@@ -285,6 +286,28 @@ def _attention(op: str, q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
         return merge(np.matmul(ds, k4)), merge(np.matmul(swap(ds), q4)), gv
 
     return value, grads
+
+
+class RowGroups(tuple):
+    """Index arrays of non-empty, disjoint groups of the rows of an
+    input with ``rows`` rows, checked once: what ``Tape.mean_rows``
+    averages. ``flat`` joins the groups in order and ``sizes`` holds
+    their lengths."""
+
+    def __new__(cls, groups: Sequence, rows: int):
+        self = super().__new__(cls, [np.asarray(group, dtype=np.intp) for group in groups])
+        if not self or any(i.ndim != 1 for i in self):
+            raise ShapeError("mean_rows: groups must be a non-empty list of 1-D index lists")
+        self.sizes = [len(i) for i in self]
+        if 0 in self.sizes:
+            raise ShapeError(f"mean_rows: group {self.sizes.index(0)} is empty")
+        self.flat, self.rows = np.concatenate(self), rows
+        # viewed as unsigned, a negative index is past every row count
+        if self.flat.view(np.uintp).max() >= rows:
+            raise ShapeError(f"mean_rows: index out of range for {rows} rows")
+        if np.bincount(self.flat).max() > 1:
+            raise ShapeError("mean_rows: groups share a row")
+        return self
 
 
 class Tape:
@@ -619,23 +642,17 @@ class Tape:
 
     def mean_rows(self, a, groups: Sequence) -> Tensor:
         """Row i is the column mean of the rows of ``a`` listed in
-        ``groups[i]``: len(groups) x d. The groups are non-empty, in
-        range and disjoint. Each group is summed on its own, so its row
-        has the same bits whatever other groups share the call."""
+        ``groups[i]``: len(groups) x d. ``groups`` is a ``RowGroups``
+        checked for a's row count, or index lists that make one. Each
+        group is summed on its own, so its row has the same bits
+        whatever other groups share the call."""
         a = self._coerce(a)
         rows = a.value.shape[0]
-        idx = [np.asarray(group, dtype=np.intp) for group in groups]
-        if not idx or any(i.ndim != 1 for i in idx):
-            raise ShapeError("mean_rows: groups must be a non-empty list of 1-D index lists")
-        sizes = [len(i) for i in idx]
-        if 0 in sizes:
-            raise ShapeError(f"mean_rows: group {sizes.index(0)} is empty")
-        flat = np.concatenate(idx)
-        # viewed as unsigned, a negative index is past every row count
-        if flat.view(np.uintp).max() >= rows:
-            raise ShapeError(f"mean_rows: index out of range for {rows} rows")
-        if np.bincount(flat).max() > 1:
-            raise ShapeError("mean_rows: groups share a row")
+        if not isinstance(groups, RowGroups):
+            groups = RowGroups(groups, rows)
+        elif groups.rows != rows:
+            raise ShapeError(f"mean_rows: groups of {groups.rows} rows for {rows} input rows")
+        flat, sizes = groups.flat, groups.sizes
         # one gather, then each group's rows summed from a contiguous slice
         gathered, ends = a.value[flat], list(accumulate(sizes))
         counts = np.array(sizes)[:, None]

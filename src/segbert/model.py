@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import RowGroups, Tape, Tensor
 from .dataset import GraphDataset, GraphInstance
 from .features import DEFAULT_WL_ITERATIONS, CsrRows, GraphFeatures, dataset_bundles, sinusoid_rows
 from .unify import UnifyPlan, resolve_n_adj, unify
@@ -395,13 +395,14 @@ def _prepare(graphs: list, features: list, plan: UnifyPlan, config: ModelConfig,
 @dataclass
 class BatchData:
     """Stacked slot rows of a batch. ``raw`` is ``attr`` when there are
-    attributes and ``adj`` otherwise."""
+    attributes and ``adj`` otherwise. ``real_slot_lists`` holds each
+    graph's real slots, checked once as the groups pooling averages."""
 
     const: np.ndarray
     adj: CsrRows
     attr: np.ndarray | None
     raw: np.ndarray | CsrRows
-    real_slot_lists: list
+    real_slot_lists: RowGroups
     labels_onehot: np.ndarray
     members: list
 
@@ -434,7 +435,7 @@ def build_batch(graph_inputs: list, class_count: int) -> BatchData:
         adj=adj,
         attr=attr,
         raw=adj if attr is None else attr,
-        real_slot_lists=real_lists,
+        real_slot_lists=RowGroups(real_lists, offset),
         labels_onehot=labels,
         members=list(graph_inputs),
     )

@@ -17,6 +17,7 @@ from scipy import sparse
 from segbert.autodiff import (
     AdamState,
     NonFiniteError,
+    RowGroups,
     ShapeError,
     Tape,
     Tensor,
@@ -255,6 +256,16 @@ def test_mean_rows_value():
     # every row in one group is the column mean of the whole input
     assert np.array_equal(Tape().mean_rows(Tensor(x), [range(7)]).value,
                           np.mean(x, axis=0, keepdims=True))
+
+
+def test_mean_rows_takes_checked_groups_for_its_row_count_only():
+    x = Tensor(np.arange(24.0).reshape(6, 4))
+    groups = RowGroups([[5, 0], [3]], 6)
+    assert list(map(list, groups)) == [[5, 0], [3]] and groups.sizes == [2, 1]
+    assert np.array_equal(Tape().mean_rows(x, groups).value,
+                          Tape().mean_rows(x, [[5, 0], [3]]).value)
+    with pytest.raises(ShapeError, match="mean_rows: groups of 5 rows for 6 input rows"):
+        Tape().mean_rows(x, RowGroups([[0]], 5))
 
 
 @pytest.mark.parametrize("groups, message", [
