@@ -291,8 +291,9 @@ def _attention(op: str, q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
 class RowGroups(tuple):
     """Index arrays of non-empty, disjoint groups of the rows of an
     input with ``rows`` rows, checked once: what ``Tape.mean_rows``
-    averages. ``flat`` joins the groups in order and ``sizes`` holds
-    their lengths."""
+    averages. ``flat`` joins the groups in order, ``spans`` gives each
+    group's (start, stop) in it, and ``sizes`` and the column
+    ``counts`` hold their lengths."""
 
     def __new__(cls, groups: Sequence, rows: int):
         self = super().__new__(cls, [np.asarray(group, dtype=np.intp) for group in groups])
@@ -307,6 +308,8 @@ class RowGroups(tuple):
             raise ShapeError(f"mean_rows: index out of range for {rows} rows")
         if np.bincount(self.flat).max() > 1:
             raise ShapeError("mean_rows: groups share a row")
+        ends = list(accumulate(self.sizes))
+        self.spans, self.counts = list(zip([0, *ends], ends)), np.array(self.sizes)[:, None]
         return self
 
 
@@ -652,16 +655,14 @@ class Tape:
             groups = RowGroups(groups, rows)
         elif groups.rows != rows:
             raise ShapeError(f"mean_rows: groups of {groups.rows} rows for {rows} input rows")
-        flat, sizes = groups.flat, groups.sizes
         # one gather, then each group's rows summed from a contiguous slice
-        gathered, ends = a.value[flat], list(accumulate(sizes))
-        counts = np.array(sizes)[:, None]
+        gathered = a.value[groups.flat]
         value = np.array([np.add.reduce(gathered[lo:hi], axis=0)
-                          for lo, hi in zip([0, *ends], ends)]) / counts
+                          for lo, hi in groups.spans]) / groups.counts
 
         def grad(g):
             full = np.zeros_like(a.value)
-            full[flat] = np.repeat(g / counts, sizes, axis=0)
+            full[groups.flat] = np.repeat(g / groups.counts, groups.sizes, axis=0)
             return full
 
         return self._unary("mean_rows", a, value, grad)

@@ -380,7 +380,8 @@ def test_finite_differences_every_primitive():
             t, t.concat_cols([x, t.scale(x, 0.5)]), proj6x8),
         "slice_cols": lambda t, x: scalarize(t, t.slice_cols(x, 1, 4), proj6x4[:, 1:4]),
         "mean_rows": lambda t, x: scalarize(t, t.mean_rows(x, [range(6)]), proj1x4),
-        "mean_rows_groups": lambda t, x: scalarize(t, t.mean_rows(x, [[5, 0, 3], [2]]), proj6x4[:2]),
+        "mean_rows_groups": lambda t, x: scalarize(
+            t, t.mean_rows(x, [[5, 0, 3], [2]]), proj6x4[:2]),
         "cosine": lambda t, x: scalarize(t, t.cosine_rows(x), proj6x6),
         "mse": lambda t, x: t.mse(x, other),
         "cross_entropy": lambda t, x: t.cross_entropy(x, onehot),
