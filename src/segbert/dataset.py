@@ -18,7 +18,6 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -76,12 +75,17 @@ class GraphInstance:
         """Source node of every stored arc, aligned with ``indices``."""
         return np.arange(self.node_count).repeat(self.indptr[1:] - self.indptr[:-1])
 
-    @cached_property
-    def edges(self) -> list:
-        """[(i, j, weight)] of the stored arcs, both directions present,
-        sorted; built from the CSR arrays at the first read."""
-        return list(zip(self.arc_rows().tolist(), self.indices.tolist(),
-                        self.weights.tolist()))
+    @property
+    def edges(self) -> np.ndarray:
+        """The stored arcs, both directions present and sorted, as a
+        structured array with fields ``i``, ``j`` and ``weight``; built
+        from the CSR arrays on each read."""
+        arcs = np.empty(len(self.indices),
+                        dtype=[("i", np.int64), ("j", np.int64), ("weight", np.float64)])
+        arcs["i"] = self.arc_rows()
+        arcs["j"] = self.indices
+        arcs["weight"] = self.weights
+        return arcs
 
 
 @dataclass
@@ -345,8 +349,9 @@ def write_tu_dataset(dataset: GraphDataset, directory: str) -> None:
 
     with open(prefix + "_A.txt", "w", encoding="utf-8") as fh:
         for off, g in zip(offsets, dataset.graphs):
-            for i, j, _w in g.edges:
-                fh.write(f"{i + off + 1}, {j + off + 1}\n")
+            # one format string per graph, filled from its CSR arrays
+            ends = np.column_stack([g.arc_rows(), g.indices]) + (off + 1)
+            fh.write("%d, %d\n" * len(ends) % tuple(ends.ravel().tolist()))
 
     if any(g.node_tags is not None for g in dataset.graphs):
         with open(prefix + "_node_labels.txt", "w", encoding="utf-8") as fh:

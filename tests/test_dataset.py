@@ -61,7 +61,7 @@ def test_loader_against_handwritten_files(tmp_path):
 
     tri = ds.graphs[0]
     assert tri.node_count == 3
-    assert tri.edges == [(0, 1, 1.0), (0, 2, 1.0), (1, 0, 1.0),
+    assert tri.edges.tolist() == [(0, 1, 1.0), (0, 2, 1.0), (1, 0, 1.0),
                          (1, 2, 1.0), (2, 0, 1.0), (2, 1, 1.0)]
     assert tri.node_tags == [0, 0, 1]  # 7 -> 0, 9 -> 1
     assert np.allclose(tri.node_attributes,
@@ -69,7 +69,7 @@ def test_loader_against_handwritten_files(tmp_path):
 
     pair = ds.graphs[1]
     assert pair.node_count == 2
-    assert pair.edges == [(0, 1, 1.0), (1, 0, 1.0)]
+    assert pair.edges.tolist() == [(0, 1, 1.0), (1, 0, 1.0)]
     assert pair.node_tags == [1, 0]
     assert ds.tag_vocab_size == 2
     assert ds.attr_dim == 2
@@ -78,7 +78,7 @@ def test_loader_against_handwritten_files(tmp_path):
 def test_loader_completes_one_directional_arcs(tmp_path):
     d = write_files(tmp_path, a=["1, 2"], indicator=["1", "1"], labels=["0"])
     ds = load_tu_dataset(d, "TOY")
-    assert ds.graphs[0].edges == [(0, 1, 1.0), (1, 0, 1.0)]
+    assert ds.graphs[0].edges.tolist() == [(0, 1, 1.0), (1, 0, 1.0)]
 
 
 def test_duplicate_edge_collapses_with_warning(tmp_path):
@@ -86,7 +86,7 @@ def test_duplicate_edge_collapses_with_warning(tmp_path):
                     indicator=["1", "1"], labels=["0"])
     with pytest.warns(UserWarning, match="duplicate edge"):
         ds = load_tu_dataset(d, "TOY")
-    assert ds.graphs[0].edges == [(0, 1, 1.0), (1, 0, 1.0)]
+    assert ds.graphs[0].edges.tolist() == [(0, 1, 1.0), (1, 0, 1.0)]
 
 
 def test_missing_file_error_names_path(tmp_path):
@@ -151,7 +151,7 @@ def test_round_trip_write_then_load(tmp_path):
     assert abs(back.avg_nodes - ds.avg_nodes) < 1e-12
     for a, b in zip(ds.graphs, back.graphs):
         assert a.node_count == b.node_count
-        assert a.edges == b.edges
+        assert a.edges.tolist() == b.edges.tolist()
         assert a.label == b.label
         assert a.node_tags == b.node_tags
         assert np.array_equal(a.node_attributes, b.node_attributes)
@@ -164,7 +164,8 @@ def test_round_trip_handwritten(tmp_path):
     back = load_tu_dataset(str(tmp_path / "dst"), "TOY")
     assert back.label_map == ds.label_map
     for a, b in zip(ds.graphs, back.graphs):
-        assert (a.node_count, a.edges, a.label) == (b.node_count, b.edges, b.label)
+        assert ((a.node_count, a.edges.tolist(), a.label)
+                == (b.node_count, b.edges.tolist(), b.label))
 
 
 @pytest.mark.parametrize("field, what", [("node_tags", "tags"),
@@ -264,7 +265,7 @@ def write_raw(tmp_path, a, indicator="1\n1\n2\n2\n", labels="0\n1\n",
 
 
 def graph_view(ds):
-    return [(g.node_count, g.edges, g.label, g.node_tags) for g in ds.graphs]
+    return [(g.node_count, g.edges.tolist(), g.label, g.node_tags) for g in ds.graphs]
 
 
 TWO_EDGES = [(2, [(0, 1, 1.0), (1, 0, 1.0)], 0, None),
@@ -357,7 +358,8 @@ def test_loader_attributes_with_whitespace_lines_load(tmp_path):
 def test_loader_set_without_arcs(tmp_path, a):
     d, _ = write_raw(tmp_path, a)
     ds = load_tu_dataset(d, "RAW")
-    assert [(g.node_count, g.edges, g.label) for g in ds.graphs] == [(2, [], 0), (2, [], 1)]
+    assert [(g.node_count, g.edges.tolist(), g.label) for g in ds.graphs] == [
+        (2, [], 0), (2, [], 1)]
     assert [g.indptr.tolist() for g in ds.graphs] == [[0, 0, 0], [0, 0, 0]]
 
 
@@ -474,15 +476,15 @@ def test_weight_matrix_and_helpers_from_csr():
     assert undirected_edge_count(g) == 2
     back = GraphInstance(node_count=3, indptr=g.indptr, indices=g.indices,
                          weights=g.weights)
-    assert back.edges == [(0, 0, 1.0), (0, 2, 2.5), (2, 0, 2.5)]
+    assert back.edges.tolist() == [(0, 0, 1.0), (0, 2, 2.5), (2, 0, 2.5)]
 
 
 def test_edges_are_the_stored_arcs(tmp_path):
     # unsorted input with a repeated arc: the last weight wins
     g = GraphInstance(node_count=3, edges=[(1, 0, 1.0), (0, 1, 1.0), (0, 1, 2.0)])
-    assert g.edges == [(0, 1, 2.0), (1, 0, 1.0)]
-    assert g.edges == list(zip(g.arc_rows().tolist(), g.indices.tolist(),
-                               g.weights.tolist()))
+    assert g.edges.tolist() == [(0, 1, 2.0), (1, 0, 1.0)]
+    assert g.edges.tolist() == list(zip(g.arc_rows().tolist(), g.indices.tolist(),
+                                        g.weights.tolist()))
     ds = GraphDataset(name="TOY", graphs=[g, GraphInstance(node_count=1, label=1)],
                       class_count=2, attr_dim=0, tag_vocab_size=0, max_nodes=3,
                       avg_nodes=2.0)
@@ -490,4 +492,57 @@ def test_edges_are_the_stored_arcs(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a duplicate arc line would warn
         back = load_tu_dataset(str(tmp_path), "TOY")
-    assert back.graphs[0].edges == [(0, 1, 1.0), (1, 0, 1.0)]
+    assert back.graphs[0].edges.tolist() == [(0, 1, 1.0), (1, 0, 1.0)]
+
+
+def test_edges_is_an_array_of_the_csr_fields(tmp_path):
+    """``edges`` is a structured array read field by field from the CSR
+    arrays, also for a graph without arcs."""
+    d = write_files(tmp_path, a=["1, 2", "2, 3", "1, 3", "5, 5"],
+                    indicator=["1", "1", "1", "2", "3"], labels=["0", "1", "0"])
+    ds = load_tu_dataset(d, "TOY")
+    assert [len(g.indices) for g in ds.graphs] == [6, 0, 1]
+    for g in ds.graphs:
+        arcs = g.edges
+        assert arcs.dtype.names == ("i", "j", "weight")
+        assert len(arcs) == len(g.indices)
+        assert np.array_equal(arcs["i"], g.arc_rows())
+        assert np.array_equal(arcs["j"], g.indices)
+        assert np.array_equal(arcs["weight"], g.weights)
+
+
+# what the writer made of WRITER_SET before it wrote arcs from the CSR
+# arrays; it must keep writing these bytes
+WRITTEN = {
+    "TOY_A.txt": "1, 1\n1, 2\n2, 1\n2, 3\n3, 2\n6, 7\n6, 9\n7, 6\n7, 8\n8, 7\n8, 9\n9, 6\n9, 8\n",
+    "TOY_graph_indicator.txt": "1\n1\n1\n2\n2\n3\n3\n3\n3\n",
+    "TOY_graph_labels.txt": "3\n-1\n3\n",
+    "TOY_node_attributes.txt": ("0.5, -1.25\n1e-07, 3.0\n0.1, 2.0\n-3.5, 0.0\n1.0, 123456.789\n"
+                                "1.0, 2.0\n3.0, 4.0\n5.0, 6.0\n7.0, 8.0\n"),
+    "TOY_node_labels.txt": "7\n11\n11\n9\n7\n9\n9\n7\n11\n",
+}
+
+
+def writer_set():
+    """Tags, attributes, label and tag maps, a self-loop and a graph
+    without arcs between two with arcs."""
+    graphs = [
+        GraphInstance(node_count=3, label=1, node_tags=[0, 2, 2],
+                      node_attributes=np.array([[0.5, -1.25], [1e-07, 3.0], [0.1, 2.0]]),
+                      edges=[(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)]),
+        GraphInstance(node_count=2, label=0, node_tags=[1, 0],
+                      node_attributes=np.array([[-3.5, 0.0], [1.0, 123456.789]])),
+        GraphInstance(node_count=4, label=1, node_tags=[1, 1, 0, 2],
+                      node_attributes=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]),
+                      edges=[(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0),
+                             (2, 3, 1.0), (3, 2, 1.0), (3, 0, 1.0), (0, 3, 1.0)]),
+    ]
+    return GraphDataset(name="TOY", graphs=graphs, class_count=2, attr_dim=2,
+                        tag_vocab_size=3, max_nodes=4, avg_nodes=3.0,
+                        label_map={-1: 0, 3: 1}, tag_map={7: 0, 9: 1, 11: 2})
+
+
+def test_writer_output_is_pinned_byte_for_byte(tmp_path):
+    write_tu_dataset(writer_set(), str(tmp_path))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {
+        name: text.encode() for name, text in WRITTEN.items()}
