@@ -248,14 +248,13 @@ def _attention(op: str, q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     d_head = d // heads
     c = 1.0 / np.sqrt(d_head)
 
-    def split(x):  # (s*block, d) -> (s, heads, block, d_head)
-        # contiguous, so each per-head product sees the strides the
-        # per-head column slices had and BLAS rounds the same way
-        return np.ascontiguousarray(
-            x.reshape(s, block, heads, d_head).transpose(0, 2, 1, 3))
+    def split(x):  # (s*block, d) -> (s, heads, block, d_head) view
+        return x.reshape(s, block, heads, d_head).transpose(0, 2, 1, 3)
 
-    def merge(x):  # (s, heads, block, d_head) -> (s*block, d)
-        return x.transpose(0, 2, 1, 3).reshape(s * block, d)
+    def merged(a, b):  # per-head a @ b, written into a fresh (s*block, d)
+        out = np.empty((s * block, d))
+        np.matmul(a, b, out=split(out))
+        return out
 
     def swap(x):  # transpose each (row, column) block
         return x.transpose(0, 1, 3, 2)
@@ -273,17 +272,17 @@ def _attention(op: str, q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
         mask = ((draw((heads, s * block, block)) >= rate) / (1.0 - rate)).reshape(
             heads, s, block, block).transpose(1, 0, 2, 3)
         mixed = probs * mask
-    value = merge(np.matmul(mixed, v4))
+    value = merged(mixed, v4)
 
     def grads(g):
         g4 = split(g)
-        gv = merge(np.matmul(swap(mixed), g4))
+        gv = merged(swap(mixed), g4)
         dp = np.matmul(g4, swap(v4))
         if mask is not None:
             dp *= mask
         ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
         ds *= c
-        return merge(np.matmul(ds, k4)), merge(np.matmul(swap(ds), q4)), gv
+        return merged(ds, k4), merged(swap(ds), q4), gv
 
     return value, grads
 
