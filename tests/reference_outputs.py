@@ -8,6 +8,7 @@ produce:
   ``run_cv`` configs: a MUTAG-shaped set under padding-pruning, and a
   PROTEINS-shaped one under segment-shifting with the raw residual,
   both pre-training tasks and gradient clipping;
+- fold 0's trained parameters (``final_values``) from those two runs;
 - the eval-mode logits of one fixed batch per unification strategy at
   a fixed init;
 - the ``model_gradcheck`` errors at width 4 in both residual modes.
@@ -56,16 +57,19 @@ def _synth(workload: str):
     return synth.generate(workload, 1, tiny=True)
 
 
-def _cv_hashes(dataset, strategy: str, k: int, train_cfg, **model) -> dict:
+def _cv(dataset, strategy: str, k: int, train_cfg, **model) -> tuple:
+    """(sha256 of each report file, fold 0's trained parameters)."""
     from segbert import config_for, resolve_plan, run_cv
 
     plan = resolve_plan(dataset, strategy, k)
     config = config_for(dataset, plan, hidden_dim=8, head_count=2, intermediate_dim=8,
                         **model)
     with tempfile.TemporaryDirectory() as out:
-        run_cv(dataset, plan, config, train_cfg, out_dir=out)
+        summary = run_cv(dataset, plan, config, train_cfg, out_dir=out)
         names = sorted(n for n in os.listdir(out) if n != "timing.csv")
-        return {n: hashlib.sha256(Path(out, n).read_bytes()).hexdigest() for n in names}
+        hashes = {n: hashlib.sha256(Path(out, n).read_bytes()).hexdigest() for n in names}
+    return hashes, {name: value.tolist()
+                    for name, value in summary.folds[0].final_values.items()}
 
 
 def _logits(dataset, strategy: str, k: int | None) -> list:
@@ -86,10 +90,10 @@ def compute() -> dict:
 
     mutag, proteins = _synth("mutag-pp"), _synth("proteins-seg")
     train = dict(epochs=3, early_stop_patience=2, batch_size=8, learning_rate=1e-3, seed=1)
-    run_cv = {
-        "mutag-padding-pruning": _cv_hashes(
+    runs = {
+        "mutag-padding-pruning": _cv(
             mutag, "padding-pruning", 12, TrainConfig(**train)),
-        "proteins-segment-shifting": _cv_hashes(
+        "proteins-segment-shifting": _cv(
             proteins, "segment-shifting", 10,
             TrainConfig(**train, pretrain_tasks=("reconstruction", "structure"),
                         pretrain_epochs=2, grad_clip=0.5),
@@ -97,8 +101,10 @@ def compute() -> dict:
     }
     logits = {strategy: _logits(mutag, strategy, k) for strategy, k in
               (("full-input", None), ("padding-pruning", 12), ("segment-shifting", 10))}
-    return {"env": environment(), "run_cv": run_cv, "logits": logits,
-            "gradcheck": gradcheck_errors()}
+    return {"env": environment(),
+            "run_cv": {run: hashes for run, (hashes, _) in runs.items()},
+            "final_values": {run: values for run, (_, values) in runs.items()},
+            "logits": logits, "gradcheck": gradcheck_errors()}
 
 
 def gradcheck_errors() -> dict:

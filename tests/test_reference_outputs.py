@@ -1,7 +1,7 @@
 """Drift gate: the committed reference outputs, recomputed.
 
 Fold CSV and summary hashes and gradcheck errors must match exactly,
-logits within 1e-12 relative. A change that means to move them reruns
+logits and fold 0's trained parameters within 1e-12 relative. A change that means to move them reruns
 ``python3 tests/reference_outputs.py`` and says what moved in
 CHANGES.md. Another numpy or BLAS can round differently, so every
 failure names the versions the file was made with and this run's.
@@ -15,7 +15,7 @@ import pytest
 import segbert.autodiff as autodiff
 from reference_outputs import REFERENCE, compute, environment, gradcheck_errors
 
-LOGIT_RTOL = 1e-12
+RTOL = 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +50,22 @@ def test_logits_match_within_1e_12_relative(reference, now):
         got, expected = np.array(now["logits"][strategy]), np.array(expected)
         assert got.shape == expected.shape, strategy
         worst = float(np.max(np.abs(got - expected) / np.abs(expected)))
-        assert worst <= LOGIT_RTOL, f"{strategy}: relative error {worst:.2e}; {_context(reference)}"
+        assert worst <= RTOL, f"{strategy}: relative error {worst:.2e}; {_context(reference)}"
+
+
+def test_fold_0_final_values_match_within_1e_12_relative(reference, now):
+    """An entry that is exactly 0 (a head no loss reaches) must stay 0."""
+    assert now["final_values"].keys() == reference["final_values"].keys()
+    for run, expected in reference["final_values"].items():
+        got = now["final_values"][run]
+        assert got.keys() == expected.keys(), run
+        for name, values in expected.items():
+            new, old = np.array(got[name]), np.array(values)
+            assert new.shape == old.shape, (run, name)
+            moved = np.abs(new - old) > RTOL * np.abs(old)
+            assert not moved.any(), (
+                f"{run} {name}: {int(moved.sum())} of {old.size} entries moved "
+                f"beyond 1e-12 relative; {_context(reference)}")
 
 
 def test_gradcheck_errors_match_exactly(reference, now):
