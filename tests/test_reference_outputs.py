@@ -1,10 +1,11 @@
 """Drift gate: the committed reference outputs, recomputed.
 
 Fold CSV and summary hashes and gradcheck errors must match exactly,
-logits and fold 0's trained parameters within 1e-12 relative. A change that means to move them reruns
-``python3 tests/reference_outputs.py`` and says what moved in
-CHANGES.md. Another numpy or BLAS can round differently, so every
-failure names the versions the file was made with and this run's.
+logits and fold 0's trained parameters within 1e-12 relative. A
+change that means to move them reruns ``python3
+tests/reference_outputs.py`` and says what moved in CHANGES.md.
+Another numpy or BLAS can round differently, so every failure names
+the versions the file was made with and this run's.
 """
 
 import json
