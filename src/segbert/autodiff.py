@@ -368,8 +368,8 @@ class Tape:
     # ------------------------------------------------------------------
     # core ops
 
-    def constant(self, value, name: str | None = None) -> Tensor:
-        return Tensor(value, requires_grad=False, name=name)
+    def constant(self, value) -> Tensor:
+        return Tensor(value)
 
     def matmul(self, a, b) -> Tensor:
         a, b = self._coerce(a), self._coerce(b)
@@ -642,17 +642,14 @@ class Tape:
 
         return self._unary("slice_cols", a, value, grad)
 
-    def mean_rows(self, a, groups: Sequence) -> Tensor:
+    def mean_rows(self, a, groups: RowGroups) -> Tensor:
         """Row i is the column mean of the rows of ``a`` listed in
         ``groups[i]``: len(groups) x d. ``groups`` is a ``RowGroups``
-        checked for a's row count, or index lists that make one. Each
-        group is summed on its own, so its row has the same bits
-        whatever other groups share the call."""
+        checked for a's row count. Each group is summed on its own, so
+        its row has the same bits whatever other groups share the call."""
         a = self._coerce(a)
         rows = a.value.shape[0]
-        if not isinstance(groups, RowGroups):
-            groups = RowGroups(groups, rows)
-        elif groups.rows != rows:
+        if groups.rows != rows:
             raise ShapeError(f"mean_rows: groups of {groups.rows} rows for {rows} input rows")
         # one gather, then each group's rows summed from a contiguous slice
         gathered = a.value[groups.flat]

@@ -142,10 +142,6 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     return values
 
 
-def config_from_text(text: str, source: str = "<config>") -> RunConfig:
-    return RunConfig(**parse_config_text(text, source))
-
-
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """defaults < config file < explicit flags."""
     values = {}

@@ -40,7 +40,12 @@ class DatasetError(Exception):
 
 def _csr_from_arcs(n: int, edges) -> tuple:
     """Sorted CSR arrays of an arc list; a repeated arc keeps its last weight."""
+    if n < 0:
+        raise ValueError(f"node_count must be non-negative, got {n}")
     weight = {(i, j): w for i, j, w in edges}
+    for i, j in weight:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"arc ({i}, {j}) has an end outside 0..{n - 1}")
     arcs = sorted(weight)
     counts = [0] * (n + 1)
     for i, _j in arcs:
@@ -191,10 +196,8 @@ def _table(path: str, what: str, dtype=np.int64, columns: int | None = 1,
 
 def _dense_map(values: np.ndarray) -> tuple:
     """(original -> dense dict, dense array) for sorted distinct values."""
-    ordered = np.sort(values)
-    distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
-    return ({int(v): i for i, v in enumerate(distinct.tolist())},
-            np.searchsorted(distinct, values))
+    distinct, dense = np.unique(values, return_inverse=True)
+    return {int(v): i for i, v in enumerate(distinct.tolist())}, dense
 
 
 def load_tu_dataset(directory: str, name: str) -> GraphDataset:

@@ -177,9 +177,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
     def names(self) -> list:
         return list(self._tensors)
 
@@ -263,16 +260,15 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
 class GraphInputs:
     """Per-graph constant arrays, ready to stack into batches.
 
-    Rows follow slot order (segments concatenated); ``slot_nodes`` gives
-    each slot's original node index, -1 at dummy slots. ``real_slots``
-    indexes the real rows sorted by original node id, so gathered
+    Rows follow slot order (segments concatenated); a slot that is not
+    real is a dummy. ``real_slots`` indexes the real rows sorted by
+    original node id, which ``kept_nodes`` holds, so gathered
     representations come out in the graph's fixed node order. The row
     arrays are views of the arrays of the pass that prepared them, so
     treat them as read-only.
     """
 
     graph: GraphInstance
-    slot_nodes: np.ndarray
     const_rows: np.ndarray
     adj_rows: CsrRows
     attr_rows: np.ndarray | None
@@ -386,7 +382,7 @@ def _prepare(graphs: list, features: list, plan: UnifyPlan, config: ModelConfig,
         adj_rows = CsrRows(adj.indptr[s0:s1 + 1] - a0, adj.indices[a0:a1],
                            adj.weights[a0:a1], adj.width)
         out.append(GraphInputs(
-            graph=g, slot_nodes=local[s0:s1], const_rows=const[s0:s1], adj_rows=adj_rows,
+            graph=g, const_rows=const[s0:s1], adj_rows=adj_rows,
             attr_rows=None if attr is None else attr[s0:s1], real_slots=real[r0:r1] - s0,
             kept_nodes=kept_nodes[r0:r1], label=g.label))
     return out

@@ -267,15 +267,14 @@ def pretrain_batch_loss(tape: Tape, params: ModelParams, config: ModelConfig,
 
 
 def pretrain(inputs: list, config: ModelConfig, train_cfg: TrainConfig,
-             init: ModelParams | None = None,
              loss_log: list | None = None) -> ModelParams:
     """Train the enabled unsupervised tasks over all prepared graphs.
 
     Each epoch is one pass of the epoch loop fine-tuning uses, with
-    ``pretrain_batch_loss`` as the batch loss. Returns the trained
-    parameters; with pretrain_epochs = 0 they equal the initialization.
-    `loss_log`, when given, receives the mean per-graph loss of each
-    epoch.
+    ``pretrain_batch_loss`` as the batch loss, from ``init_params`` at
+    fold stream 10's seed. Returns the trained parameters; with
+    pretrain_epochs = 0 they equal that draw. `loss_log`, when given,
+    receives the mean per-graph loss of each epoch.
     """
     tasks = tuple(train_cfg.pretrain_tasks)
     if not tasks:
@@ -286,7 +285,7 @@ def pretrain(inputs: list, config: ModelConfig, train_cfg: TrainConfig,
             "this dataset has none (use the structure task only)")
     # fold ids run 0..9; 10 is reserved for the shared pre-training pass
     init_seed, rng, tape_seed = _fold_streams(train_cfg.seed, 10)[:3]
-    params = init.copy() if init is not None else init_params(config, seed=init_seed)
+    params = init_params(config, seed=init_seed)
     state = AdamState.for_params(params.values, train_cfg.learning_rate,
                                  train_cfg.weight_decay)
     tape = Tape(seed=tape_seed)

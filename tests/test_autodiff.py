@@ -251,10 +251,10 @@ def test_sparse_linear_shape_and_finiteness_checks():
 def test_mean_rows_value():
     x = np.random.default_rng(3).standard_normal((7, 3))
     groups = [[6, 0, 2], [4], [1, 5]]
-    out = Tape().mean_rows(Tensor(x), groups)
+    out = Tape().mean_rows(Tensor(x), RowGroups(groups, 7))
     assert np.array_equal(out.value, np.stack([np.mean(x[g], axis=0) for g in groups]))
     # every row in one group is the column mean of the whole input
-    assert np.array_equal(Tape().mean_rows(Tensor(x), [range(7)]).value,
+    assert np.array_equal(Tape().mean_rows(Tensor(x), RowGroups([range(7)], 7)).value,
                           np.mean(x, axis=0, keepdims=True))
 
 
@@ -262,8 +262,8 @@ def test_mean_rows_takes_checked_groups_for_its_row_count_only():
     x = Tensor(np.arange(24.0).reshape(6, 4))
     groups = RowGroups([[5, 0], [3]], 6)
     assert list(map(list, groups)) == [[5, 0], [3]] and groups.sizes == [2, 1]
-    assert np.array_equal(Tape().mean_rows(x, groups).value,
-                          Tape().mean_rows(x, [[5, 0], [3]]).value)
+    assert np.array_equal(Tape().mean_rows(x, groups).value, [[10.0, 11.0, 12.0, 13.0],
+                                                              [12.0, 13.0, 14.0, 15.0]])
     with pytest.raises(ShapeError, match="mean_rows: groups of 5 rows for 6 input rows"):
         Tape().mean_rows(x, RowGroups([[0]], 5))
 
@@ -282,7 +282,7 @@ def test_mean_rows_rejects_bad_groups_before_computing(groups, message):
     x = Tensor(np.full((6, 4), np.inf), requires_grad=True)
     tape = Tape()
     with np.errstate(all="raise"), pytest.raises(ShapeError, match=f"mean_rows: {message}"):
-        tape.mean_rows(x, groups)
+        tape.mean_rows(x, RowGroups(groups, 6))
     assert tape.entries == []
 
 
@@ -379,9 +379,9 @@ def test_finite_differences_every_primitive():
         "concat_cols": lambda t, x: scalarize(
             t, t.concat_cols([x, t.scale(x, 0.5)]), proj6x8),
         "slice_cols": lambda t, x: scalarize(t, t.slice_cols(x, 1, 4), proj6x4[:, 1:4]),
-        "mean_rows": lambda t, x: scalarize(t, t.mean_rows(x, [range(6)]), proj1x4),
+        "mean_rows": lambda t, x: scalarize(t, t.mean_rows(x, RowGroups([range(6)], 6)), proj1x4),
         "mean_rows_groups": lambda t, x: scalarize(
-            t, t.mean_rows(x, [[5, 0, 3], [2]]), proj6x4[:2]),
+            t, t.mean_rows(x, RowGroups([[5, 0, 3], [2]], 6)), proj6x4[:2]),
         "cosine": lambda t, x: scalarize(t, t.cosine_rows(x), proj6x6),
         "mse": lambda t, x: t.mse(x, other),
         "cross_entropy": lambda t, x: t.cross_entropy(x, onehot),
@@ -671,6 +671,32 @@ def test_shape_mismatch_names_both_shapes():
             op(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 1))))
         assert "(2, 3)" in str(exc.value) and "(1, 1)" in str(exc.value)
 
+    a, b, square = (Tensor(np.zeros(shape)) for shape in ((2, 3), (3, 3), (2, 2)))
+    for make, message in [
+        (lambda: Tensor(np.zeros(3)), "tensors are 2-D, got array of shape (3,)"),
+        (lambda: tape.add_n([]), "add_n: empty operand list"),
+        (lambda: tape.add_n([a, b]), "add_n: shapes differ: (2, 3) vs (3, 3)"),
+        (lambda: tape.take_rows(a, [[0]]), "take_rows: indices must be 1-D, got shape (1, 1)"),
+        (lambda: tape.concat_rows([]), "concat_rows: empty operand list"),
+        (lambda: tape.concat_cols([]), "concat_cols: empty operand list"),
+        (lambda: tape.concat_rows([a, square]),
+         "concat_rows: column counts differ: (2, 3) vs (2, 2)"),
+        (lambda: tape.concat_cols([a, b]), "concat_cols: row counts differ: (2, 3) vs (3, 3)"),
+        (lambda: tape.slice_cols(a, 2, 4), "slice_cols: [2:4] invalid for shape (2, 3)"),
+        (lambda: tape.attention_scores(a, b, 1),
+         "attention_scores: shapes differ: (2, 3) vs (3, 3)"),
+        (lambda: tape.attention_apply(a, b, 2),
+         "attention_apply: weight shape (2, 3) does not match block 2"),
+        (lambda: tape.attention_apply(square, b, 2),
+         "attention_apply: value rows (3, 3) do not match weights (2, 2)"),
+        (lambda: tape.mse(a, np.zeros((3, 3))), "mse: shapes differ: (2, 3) vs (3, 3)"),
+        (lambda: tape.cross_entropy(a, np.zeros((3, 3))),
+         "cross_entropy: shapes differ: (2, 3) vs (3, 3)"),
+    ]:
+        with pytest.raises(ShapeError) as exc:
+            make()
+        assert str(exc.value) == message
+
 
 ONE_INPUT_OPS = {
     "scale": lambda t, a: t.scale(a, -1.7),
@@ -681,7 +707,7 @@ ONE_INPUT_OPS = {
     "dropout": lambda t, a: t.dropout(a, 0.5, training=True),
     "take_rows": lambda t, a: t.take_rows(a, [2, 0, 2]),
     "slice_cols": lambda t, a: t.slice_cols(a, 1, 3),
-    "mean_rows": lambda t, a: t.mean_rows(a, [[2, 0], [1]]),
+    "mean_rows": lambda t, a: t.mean_rows(a, RowGroups([[2, 0], [1]], 3)),
     "cosine_rows": lambda t, a: t.cosine_rows(a),
     "mse": lambda t, a: t.mse(a, np.ones((3, 4))),
     "cross_entropy": lambda t, a: t.cross_entropy(a, np.eye(3, 4)),
@@ -976,3 +1002,62 @@ def test_every_private_helper_has_a_caller():
     everywhere = sum(map(references, trees), Counter())
     orphans = [h.name for h in helpers if everywhere[h.name] == references(h)[h.name]]
     assert orphans == []
+
+
+def test_every_public_name_has_a_reader():
+    """src/segbert ships nothing that only the tests read: each public
+    module-level function, public method of a class other than Tape
+    (guarded above) and dataclass field is read in src/segbert outside
+    its own definition, in demos/ or in perfbench/, or is re-exported by
+    segbert/__init__.py. A name, an attribute or a string naming it (as
+    in _check_features' getattr loop) is a read; an __all__ entry, a
+    keyword argument and an assignment are not. RunConfig's fields are
+    exempt: to_text, _add_run_flags and build_configs read every one
+    through dataclasses.fields, and each is a config key and a flag."""
+    root = Path(__file__).resolve().parent.parent
+    package = {path.name: ast.parse(path.read_text())
+               for path in sorted((root / "src" / "segbert").glob("*.py"))}
+    outside = [ast.parse(path.read_text()) for folder in ("demos", "perfbench")
+               for path in sorted((root / folder).glob("*.py"))]
+
+    def reads(nodes):
+        found = Counter()
+        for node in nodes:
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    found[n.id] += 1
+                elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                    found[n.attr] += 1
+                elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                    found[n.value] += 1
+        return found
+
+    def is_dataclass(c):
+        return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                   for d in c.decorator_list)
+
+    public = []  # (label, name, definition)
+    for tree in package.values():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                public.append((node.name, node.name, node))
+            elif isinstance(node, ast.ClassDef) and node.name != "Tape":
+                fields = is_dataclass(node) and node.name != "RunConfig"
+                for d in node.body:
+                    if isinstance(d, ast.FunctionDef):
+                        public.append((f"{node.name}.{d.name}", d.name, d))
+                    elif fields and isinstance(d, ast.AnnAssign):
+                        public.append((f"{node.name}.{d.target.id}", d.target.id, d))
+    public = [entry for entry in public if not entry[1].startswith("_")]
+    assert {"GraphInputs.kept_nodes", "CsrRows.take", "run_cv"} <= {p[0] for p in public}
+
+    def not_all(tree):  # every statement but the __all__ list
+        return [s for s in tree.body if not (isinstance(s, ast.Assign) and any(
+            getattr(t, "id", None) == "__all__" for t in s.targets))]
+
+    everywhere = reads(s for tree in package.values() for s in not_all(tree)) + reads(outside)
+    exported = {a.name for s in package["__init__.py"].body if isinstance(s, ast.ImportFrom)
+                for a in s.names}
+    unread = [label for label, name, node in public
+              if name not in exported and everywhere[name] == reads([node])[name]]
+    assert unread == []

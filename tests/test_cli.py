@@ -9,8 +9,7 @@ import pytest
 import segbert.autodiff as autodiff
 import segbert.cli as cli
 from conftest import synth_dataset
-from segbert.cli import (RunConfig, build_configs, config_from_text, main,
-                         parse_config_text)
+from segbert.cli import RunConfig, build_configs, main, parse_config_text
 from segbert.dataset import load_tu_dataset, write_tu_dataset
 from segbert.model import ModelConfig, config_for, load_checkpoint
 from segbert.training import TrainConfig, default_learning_rate
@@ -41,12 +40,12 @@ def test_run_config_text_round_trip():
     cfg = RunConfig(dataset="SYNTH", data_dir="/tmp/x", strategy="full-input",
                     k=28, lr=0.0005, grad_clip=None, dropout_hidden=0.17,
                     pretrain="structure", out="runs/x")
-    assert config_from_text(cfg.to_text()) == cfg
+    assert RunConfig(**parse_config_text(cfg.to_text())) == cfg
 
 
 def test_run_config_none_fields_survive():
     cfg = RunConfig()
-    again = config_from_text(cfg.to_text())
+    again = RunConfig(**parse_config_text(cfg.to_text()))
     assert again.k is None and again.lr is None and again.grad_clip is None
 
 
@@ -90,7 +89,7 @@ def test_parse_config_accepts_every_choice():
     for mode in ("none", "raw"):
         assert parse_config_text(f"residual={mode}\n") == {"residual": mode}
     for strategy in Strategy:
-        assert config_from_text(f"strategy={strategy.value}\n").strategy == strategy.value
+        assert parse_config_text(f"strategy={strategy.value}\n") == {"strategy": strategy.value}
 
 
 # ----------------------------------------------------------------------
@@ -177,6 +176,8 @@ def test_missing_dataset_files_exit_1(tmp_path, capsys):
                  str(tmp_path)])
     assert code == 1
     assert "NOPE" in capsys.readouterr().err
+    assert main(["train", "--data-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: no dataset name given (use --dataset)\n"
 
 
 def test_unknown_flag_is_exit_2(data_dir):
@@ -208,7 +209,7 @@ def test_train_writes_reports_and_echo(data_dir, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "mean test accuracy" in stdout
     with open(os.path.join(out, "config_echo.txt"), encoding="utf-8") as fh:
-        echo = config_from_text(fh.read())
+        echo = RunConfig(**parse_config_text(fh.read()))
     assert echo.k == 8
     assert echo.lr == pytest.approx(1e-4)
     assert echo.strategy == "padding-pruning"

@@ -442,6 +442,14 @@ def test_loader_graph_id_beyond_node_count(tmp_path):
     d, _ = write_raw(tmp_path / "b", "1, 2\n3, 4\n", indicator="1\n1\n2\n-9223372036854775808\n")
     with pytest.raises(DatasetError, match="1-based"):
         load_tu_dataset(d, "RAW")
+    for name, indicator, message in [
+        ("c", "1\n1\n3\n3\n", "graph 2 has no nodes (ids must cover 1..3)"),
+        ("d", "", "no nodes listed"),
+    ]:
+        d, _ = write_raw(tmp_path / name, "", indicator=indicator)
+        with pytest.raises(DatasetError) as err:
+            load_tu_dataset(d, "RAW")
+        assert str(err.value) == f"{d}/RAW_graph_indicator.txt: {message}"
 
 
 def test_loader_interleaved_indicator(tmp_path):
@@ -477,6 +485,20 @@ def test_weight_matrix_and_helpers_from_csr():
     back = GraphInstance(node_count=3, indptr=g.indptr, indices=g.indices,
                          weights=g.weights)
     assert back.edges.tolist() == [(0, 0, 1.0), (0, 2, 2.5), (2, 0, 2.5)]
+
+
+@pytest.mark.parametrize("node_count, bad, message", [
+    (3, [(1, 5, 1.0), (5, 1, 1.0)], "arc (1, 5) has an end outside 0..2"),
+    (3, [(-1, 1, 1.0)], "arc (-1, 1) has an end outside 0..2"),
+    (3, [(3, 0, 1.0)], "arc (3, 0) has an end outside 0..2"),
+    (-1, [], "node_count must be non-negative, got -1"),
+], ids=["target-past-end", "negative-source", "source-at-node-count", "negative-node-count"])
+def test_arc_list_rejects_an_end_outside_the_graph(node_count, bad, message):
+    # loaded, these arcs would index another graph's nodes in a dataset-wide
+    # array, or count in the wrong row of indptr
+    with pytest.raises(ValueError) as err:
+        GraphInstance(node_count=node_count, edges=[(0, 1, 1.0), (1, 0, 1.0)] + bad)
+    assert str(err.value) == message
 
 
 def test_edges_are_the_stored_arcs(tmp_path):

@@ -88,8 +88,8 @@ def test_init_params_shapes_and_values():
 
 def test_residual_and_attr_params_only_when_configured():
     plain = init_params(tiny_config(), seed=0)
-    assert "residual.weight" not in plain
-    assert "attr_embed.weight" not in plain
+    assert "residual.weight" not in plain.names()
+    assert "attr_embed.weight" not in plain.names()
     # no attributes: raw width falls back to the adjacency row width
     raw = init_params(tiny_config(residual_mode="raw"), seed=0)
     assert raw["residual.weight"].value.shape == (4, 8)
@@ -105,6 +105,17 @@ def test_config_validation_errors():
         tiny_config(residual_mode="slope")
     with pytest.raises(ValueError, match="dropout_attention"):
         tiny_config(dropout_attention=1.0)
+    for field, value, message in [
+        ("layer_count", 0, "layer_count must be at least 1, got 0"),
+        ("intermediate_dim", 0, "intermediate_dim must be positive, got 0"),
+        ("class_count", 1, "class_count must be at least 2, got 1"),
+        ("attr_dim", -1, "attr_dim must be non-negative, got -1"),
+        ("n_adj", 0, "n_adj must be positive, got 0"),
+        ("segment_k", 0, "segment_k must be positive, got 0"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            tiny_config(**{field: value})
+        assert str(err.value) == message
 
 
 def test_config_rejects_negative_wl_iterations():
@@ -403,6 +414,8 @@ def test_batched_classification_matches_per_graph_forward():
         solo = forward_graph(params, cfg, gi)
         e = np.exp(logits.value[i] - logits.value[i].max())
         assert np.allclose(e / e.sum(), solo.y_hat.value[0], atol=1e-9)
+    with pytest.raises(ValueError, match="empty batch"):
+        build_batch([], cfg.class_count)
 
 
 @functools.cache
@@ -561,6 +574,13 @@ def test_checkpoint_rejects_garbage(tmp_path):
     good.write_bytes(blob[:-8])
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(str(good))
+    for bad, message in [(blob[:4] + struct.pack("<I", 2) + blob[8:],
+                          "unsupported checkpoint version 2"),
+                         (blob + b"\x00", "trailing bytes after checkpoint payload")]:
+        good.write_bytes(bad)
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(str(good))
+        assert str(err.value) == f"{good}: {message}"
 
 
 def test_params_copy_is_independent():
@@ -621,7 +641,7 @@ def test_checkpoint_rejects_zero_tensors(tmp_path):
     assert str(path) in str(err.value)
 
 
-@pytest.mark.parametrize("size", [4, 6, 11])
+@pytest.mark.parametrize("size", [4, 6, 11, 17])  # 17: inside the tensor's header
 def test_checkpoint_rejects_short_file_header(tmp_path, size):
     path = tmp_path / "short.ckpt"
     path.write_bytes(_checkpoint_blob([("w", np.ones((1, 1)))])[:size])

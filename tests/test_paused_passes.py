@@ -9,7 +9,7 @@ from scipy import sparse
 
 import segbert.autodiff as autodiff
 import segbert.gradcheck as gradcheck
-from segbert.autodiff import NonFiniteError, Tape, Tensor, paused_value
+from segbert.autodiff import NonFiniteError, RowGroups, Tape, Tensor, paused_value
 from segbert.dataset import GraphInstance
 from segbert.features import build_bundles
 from segbert.model import ModelConfig, ModelParams, build_batch, classify_batch, init_params, prepare_graph
@@ -51,8 +51,8 @@ OP_CASES = {
     "concat_rows": lambda t, x: t.concat_rows([x, Tensor(OTHER)]),
     "concat_cols": lambda t, x: t.concat_cols([x, Tensor(OTHER)]),
     "slice_cols": lambda t, x: t.slice_cols(x, 1, 3),
-    "mean_rows": lambda t, x: t.mean_rows(x, [range(6)]),
-    "mean_rows/groups": lambda t, x: t.mean_rows(x, [[5, 0], [3], [1, 2, 4]]),
+    "mean_rows": lambda t, x: t.mean_rows(x, RowGroups([range(6)], 6)),
+    "mean_rows/groups": lambda t, x: t.mean_rows(x, RowGroups([[5, 0], [3], [1, 2, 4]], 6)),
     "attention_scores": lambda t, x: t.attention_scores(x, Tensor(OTHER), 2),
     "attention_apply": lambda t, x: t.attention_apply(Tensor(PROBS), x, 2),
     "attention_block": lambda t, x: t.attention_block(

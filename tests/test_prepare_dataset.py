@@ -46,7 +46,7 @@ def reference_prepare_graph(g, features, plan, config, order=None) -> GraphInput
 
     real = np.flatnonzero(~dummy)
     real = real[np.argsort(slot_node[real], kind="stable")]
-    return GraphInputs(graph=g, slot_nodes=slot_node, const_rows=const, adj_rows=adj,
+    return GraphInputs(graph=g, const_rows=const, adj_rows=adj,
                        attr_rows=attr, real_slots=real, kept_nodes=slot_node[real],
                        label=g.label)
 
@@ -61,7 +61,7 @@ def assert_same_array(a, b, name):
 def assert_same_inputs(got: GraphInputs, want: GraphInputs):
     assert got.graph is want.graph
     assert got.label == want.label
-    for name in ("slot_nodes", "const_rows", "real_slots", "kept_nodes"):
+    for name in ("const_rows", "real_slots", "kept_nodes"):
         assert_same_array(getattr(got, name), getattr(want, name), name)
     for name in ("indptr", "indices", "weights"):
         assert_same_array(getattr(got.adj_rows, name), getattr(want.adj_rows, name),

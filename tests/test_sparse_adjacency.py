@@ -49,7 +49,10 @@ def dense_slot_rows(g: GraphInstance, n_adj: int, slot_node: np.ndarray) -> np.n
 
 
 def slot_nodes(gi) -> np.ndarray:
-    return gi.slot_nodes
+    """Each slot's node: -1 except that the real slots hold the kept nodes."""
+    nodes = np.full(gi.slot_count, -1)
+    nodes[gi.real_slots] = gi.kept_nodes
+    return nodes
 
 
 CASES = [

@@ -111,14 +111,32 @@ def test_train_config_validation(bad):
 # pre-training
 
 
+def assert_pretrain_init(params, config, seed):
+    """``params`` are exactly pretrain's initial draw: fold stream 10's."""
+    init = init_params(config, seed=training._fold_streams(seed, 10)[0])
+    assert params.names() == init.names()
+    assert np.array_equal(params.values, init.values)
+
+
 def test_pretrain_zero_epochs_returns_initialization():
     ds, plan, config, inputs = tiny_setup()
-    cfg = TrainConfig(pretrain_tasks=("structure",), pretrain_epochs=0)
-    init = init_params(config, seed=7)
-    out = pretrain(inputs, config, cfg, init=init)
-    assert set(out.names()) == set(init.names())
-    for name, t in out.items():
-        assert np.array_equal(t.value, init[name].value)
+    cfg = TrainConfig(pretrain_tasks=("structure",), pretrain_epochs=0, seed=7)
+    assert_pretrain_init(pretrain(inputs, config, cfg), config, 7)
+
+
+def test_pretrain_batch_without_a_term_takes_no_step():
+    # structure recovery needs two real nodes, so no batch of 1-node
+    # graphs has a loss: every batch is skipped and nothing moves
+    graphs = [GraphInstance(node_count=1, label=i % 2) for i in range(12)]
+    ds = GraphDataset(name="DOTS", graphs=graphs, class_count=2, attr_dim=0,
+                      tag_vocab_size=0, max_nodes=1, avg_nodes=1.0)
+    plan = UnifyPlan(Strategy.PADDING_PRUNING, 4)
+    config = config_for(ds, plan, hidden_dim=4, head_count=2, intermediate_dim=4)
+    cfg = TrainConfig(pretrain_tasks=("structure",), pretrain_epochs=2, seed=3)
+    log = []
+    params = pretrain(prepare_dataset(ds, plan, config), config, cfg, loss_log=log)
+    assert log == [0.0, 0.0]
+    assert_pretrain_init(params, config, 3)
 
 
 def test_pretrain_requires_a_task():

@@ -184,6 +184,8 @@ def test_unify_order_array_matches_list(strategy):
 def test_unify_rejects_non_positive_k(strategy, k):
     with pytest.raises(ValueError, match="k must be positive"):
         unify(cycle_graph(4), UnifyPlan(strategy, k))
+    with pytest.raises(ValueError, match=f"k must be positive, got {k}"):
+        segment_count(4, k)
 
 
 # ----------------------------------------------------------------------
