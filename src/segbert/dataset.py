@@ -10,7 +10,10 @@ or across graphs and non-finite attributes with an error naming
 ``file:line``, converts global ids to per-graph local indices, drops
 duplicate arcs (with a warning naming the line), completes symmetric
 storage, and remaps class labels and node tags to dense 0-based ranges.
-Every arc has weight 1.0.
+Every arc has weight 1.0. Arcs are handled as one integer key each,
+int32 while every key fits; the forward and the reversed keys are each
+sorted at most once, and merged only when the file lists some arc one
+way only or twice.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ class DatasetError(Exception):
 
 def _csr_from_arcs(n: int, edges) -> tuple:
     """Sorted CSR arrays of an arc list; a repeated arc keeps its last weight."""
-    if n < 0:
-        raise ValueError(f"node_count must be non-negative, got {n}")
     weight = {(i, j): w for i, j, w in edges}
     for i, j in weight:
         if not (0 <= i < n and 0 <= j < n):
@@ -53,6 +54,27 @@ def _csr_from_arcs(n: int, edges) -> tuple:
     return (np.cumsum(counts, dtype=np.int64),
             np.array([j for _i, j in arcs], dtype=np.int64),
             np.array([weight[a] for a in arcs], dtype=np.float64))
+
+
+def _check_csr(n: int, indptr, indices, weights) -> None:
+    """Raise ValueError at the first fault of CSR arrays for n nodes; a
+    few numpy calls whatever the size, as the loader builds every graph
+    through here."""
+    if len(indptr) != n + 1:
+        raise ValueError(f"indptr has {len(indptr)} entries for {n} nodes, "
+                         f"expected {n + 1}")
+    if indptr[0] != 0:
+        raise ValueError(f"indptr starts at {indptr[0]}, expected 0")
+    if (indptr[1:] < indptr[:-1]).any():
+        raise ValueError("indptr decreases")
+    for what, values in (("indices", indices), ("weights", weights)):
+        if values is not None and indptr[-1] != len(values):
+            raise ValueError(f"indptr ends at {indptr[-1]} but {what} has "
+                             f"{len(values)} entries")
+    if len(indices):
+        lo, hi = indices.min(), indices.max()
+        if lo < 0 or hi >= n:
+            raise ValueError(f"index {lo if lo < 0 else hi} lies outside 0..{n - 1}")
 
 
 class GraphInstance:
@@ -68,11 +90,15 @@ class GraphInstance:
                  node_attributes: np.ndarray | None = None, label: int = 0,
                  *, indptr=None, indices=None, weights=None):
         self.node_count = int(node_count)
+        if self.node_count < 0:
+            raise ValueError(f"node_count must be non-negative, got {self.node_count}")
         self.node_tags = node_tags
         self.node_attributes = node_attributes
         self.label = label
         if indptr is None:
             indptr, indices, weights = _csr_from_arcs(self.node_count, edges or [])
+        else:
+            _check_csr(self.node_count, indptr, indices, weights)
         self.indptr, self.indices = indptr, indices
         self.weights = np.ones(len(indices)) if weights is None else weights
 
@@ -240,25 +266,42 @@ def load_tu_dataset(directory: str, name: str) -> GraphDataset:
 
     # an id past int64 reads as 0, out of range like any id past n_nodes.
     # The earliest bad arc wins, whether out of range or across graphs;
-    # node 1 stands in for an id outside. Per-arc temporaries stay
-    # unnamed, so their memory is reused (~25 ms on 1.4M arcs).
+    # node 1 stands in for an id outside, in masked gathers that run only
+    # when some id is outside. Per-arc temporaries stay unnamed, so their
+    # memory is reused (~25 ms on 1.4M arcs).
     u, v = _table(edges_path, "node id", columns=2, form="'i, j'", overflow=0).T - 1
     inside = (u >= 0) & (u < n_nodes) & (v >= 0) & (v < n_nodes)
-    bad = ~inside | (node_graph[u * inside] != node_graph[v * inside])
+    bad = (node_graph[u] != node_graph[v]) if inside.all() else (
+        ~inside | (node_graph[u * inside] != node_graph[v * inside]))
     if bad.any():
         row = int(np.argmax(bad))
         problem = (f"edge joins graphs {node_graph[u[row]] + 1} and {node_graph[v[row]] + 1}"
                    if inside[row] else f"node id out of range 1..{n_nodes}")
         raise DatasetError(f"{edges_path}:{_lines(edges_path)[row][0]}: {problem}")
-    if not np.diff(np.sort(u * n_nodes + v)).all():
-        key = u * n_nodes + v
-        order = np.argsort(key, kind="stable")  # the first of equal arcs is kept
-        repeat = np.zeros(len(key), dtype=bool)
-        repeat[order[1:]] = np.diff(key[order]) == 0
-        lines = _lines(edges_path)
-        for row in np.flatnonzero(repeat):
-            warnings.warn(f"{edges_path}:{lines[row][0]}: duplicate edge "
-                          f"({u[row] + 1}, {v[row] + 1})", stacklevel=2)
+
+    # every arc as one key (graph-major row, local column), int32 while
+    # every key fits, which halves the sorts. The key names its arc, so
+    # the sorted keys show the duplicates, and without their repeats
+    # they are the arcs the file lists. A file in arc order, as TU files
+    # are written, is sorted already: strictly increasing keys need no
+    # sort and have no repeats.
+    width = int(counts.max())
+    kind = np.int32 if n_nodes * width < 2 ** 31 else np.int64
+    row_key, col_key = position.astype(kind) * width, local.astype(kind)
+    key = row_key[u] + col_key[v]
+    forward = key
+    if (key[1:] <= key[:-1]).any():
+        forward = np.sort(key)  # default kind: the order is unknown
+        fresh = np.append(True, forward[1:] != forward[:-1])
+        if not fresh.all():
+            repeat = np.empty(len(key), dtype=bool)
+            # a stable order puts the first line of equal arcs first
+            repeat[np.argsort(key, kind="stable")] = ~fresh
+            lines = _lines(edges_path)
+            for r in np.flatnonzero(repeat):
+                warnings.warn(f"{edges_path}:{lines[r][0]}: duplicate edge "
+                              f"({u[r] + 1}, {v[r] + 1})", stacklevel=2)
+            forward = forward[fresh]
 
     tags_path = prefix + "_node_labels.txt"
     tags = None
@@ -282,15 +325,19 @@ def load_tu_dataset(directory: str, name: str) -> GraphDataset:
             raise DatasetError(f"{attrs_path}:{n}: non-finite attribute in {text!r}")
         attrs = attrs[by_graph]
 
-    # symmetric completion: both directions of every arc as one int64
-    # key (graph-major row, local column), sorted, repeats masked out
-    width = int(counts.max())
-    key = np.sort(np.concatenate([position[u] * width + local[v],
-                                  position[v] * width + local[u]]))
-    key = key[np.append(True, key[1:] != key[:-1])] if len(key) else key
-    rows, cols = np.divmod(key, width)
-    row_ptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_nodes), out=row_ptr[1:])
+    # symmetric completion: when the file lists both directions of every
+    # arc once, its sorted reversed keys are the same array and the
+    # forward keys are the symmetric arc set. Otherwise (arcs listed one
+    # way only, or repeated) both are merged and repeats dropped; the
+    # stable kind merges the two sorted runs in one pass.
+    backward = np.sort(row_key[v] + col_key[u])  # default kind: reversed keys are out of order
+    key = forward
+    if not np.array_equal(forward, backward):
+        key = np.sort(np.concatenate([forward, backward]), kind="stable")
+        key = key[np.append(True, key[1:] != key[:-1])]
+    # row r's keys start at r * width
+    row_ptr = np.searchsorted(key, np.arange(n_nodes + 1, dtype=kind) * width)
+    cols = (key % width).astype(np.int64)
     ones = np.ones(len(cols))
 
     graphs = []

@@ -60,30 +60,46 @@ def dataset_wl_codes(graphs: Sequence[GraphInstance],
     colors, and so the joint partition, unchanged. Codes are 0..C-1 in
     order of first appearance; two nodes, in one graph or in two, share
     a code exactly when their refinement trees of that depth are equal.
+
+    A signature is one run of int32 words, the own color and then the
+    sorted neighbor colors, and the table is keyed by the run's bytes.
+    A round sorts once: the keys ``node * span + neighbor color``, where
+    ``span`` is the color count, int32 while ``nodes * span < 2**31``
+    and int64 past it.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations}")
     if not graphs:
         return []
     bounds = [0, *itertools.accumulate(g.node_count for g in graphs)]
+    nodes = bounds[-1]
     per_graph = [compute_degrees(g) for g in graphs]
     degrees = np.concatenate(per_graph)
-    owner = np.arange(bounds[-1]).repeat(degrees)
+    owner = np.arange(nodes, dtype=np.int32).repeat(degrees)
     neighbor = np.concatenate([g.indices + lo for g, lo in zip(graphs, bounds)])
     init = np.concatenate([d if g.node_tags is None else np.asarray(g.node_tags).reshape(-1)
                            for g, d in zip(graphs, per_graph)])
     table: dict = {}
     flat = [table.setdefault(v, len(table)) for v in init.tolist()]
-    ends = (degrees.cumsum() * 8).tolist()  # byte ends of the multisets
+    # node i's signature is the run words[first[i]:first[i + 1]]: its
+    # own color, then its neighbor colors in increasing order
+    first = np.arange(nodes + 1)
+    first[1:] += degrees.cumsum()
+    own, near = first[:-1], np.arange(len(owner)) + owner + 1
+    words = np.empty(first[-1], dtype=np.int32)  # colors < nodes < 2**31
+    cuts = (first * words.itemsize).tolist()
     for _ in range(int(iterations)):
         span = len(table)  # colors lie in 0..span-1
-        # one sort groups each node's neighbor colors, in order; a
-        # node's multiset is then one slice of the bytes
-        key = np.sort(owner * span + np.array(flat, dtype=np.int64)[neighbor])
-        multisets = (key % span).tobytes()
+        colors = np.array(flat, dtype=np.int32)
+        # one sort, default kind (the colors come in no order), groups
+        # each node's neighbor colors in increasing order
+        base = np.multiply(owner, span, dtype=np.int32 if nodes * span < 2 ** 31 else np.int64)
+        key = np.sort(base + colors[neighbor])
+        words[near] = key - base
+        words[own] = colors
+        runs = words.tobytes()
         table = {}
-        flat = [table.setdefault((c, multisets[lo:hi]), len(table))
-                for c, lo, hi in zip(flat, [0, *ends], ends)]
+        flat = [table.setdefault(runs[lo:hi], len(table)) for lo, hi in itertools.pairwise(cuts)]
         if len(table) == span:  # refinement never merges: stable
             break
     return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

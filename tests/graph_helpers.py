@@ -38,6 +38,23 @@ def undirected_edge_count(g: GraphInstance) -> int:
     return (len(g.indices) - loops) // 2 + loops
 
 
+def recorded_sorts(monkeypatch, run) -> list:
+    """(size, dtype) of every array np.sort sorts while ``run()`` runs."""
+    seen = []
+    sort = np.sort
+
+    def recording_sort(a, *args, **kwargs):
+        seen.append((len(a), a.dtype))
+        return sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", recording_sort)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return seen
+
+
 @dataclass
 class GraphOutput:
     h_final: Tensor

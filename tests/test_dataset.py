@@ -1,10 +1,14 @@
 """TU loader, writer and fold construction."""
 
 import os
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segbert.dataset import (
     DatasetError,
@@ -17,7 +21,8 @@ from segbert.dataset import (
 )
 
 from conftest import synth_dataset
-from graph_helpers import neighbor_sets, undirected_edge_count, weight_matrix
+from graph_helpers import (neighbor_sets, recorded_sorts, undirected_edge_count,
+                           weight_matrix)
 
 
 def write_files(tmp_path, name="TOY", a=None, indicator=None, labels=None,
@@ -568,3 +573,135 @@ def test_writer_output_is_pinned_byte_for_byte(tmp_path):
     write_tu_dataset(writer_set(), str(tmp_path))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {
         name: text.encode() for name, text in WRITTEN.items()}
+
+
+@pytest.mark.parametrize("node_count, indptr, indices, weights, message", [
+    (3, [0, 1, 2], [1, 0], None, "indptr has 3 entries for 3 nodes, expected 4"),
+    (3, [0, 2, 1], [1, 0], None, "indptr has 3 entries for 3 nodes, expected 4"),
+    (3, [1, 1, 2, 3], [1, 0], None, "indptr starts at 1, expected 0"),
+    (2, [0, 2, 1], [1, 0], None, "indptr decreases"),
+    (3, [0, 1, 2, 3], [1, 0], None, "indptr ends at 3 but indices has 2 entries"),
+    (3, [0, 1, 2, 3], [1, 0, 1], [1.0, 1.0], "indptr ends at 3 but weights has 2 entries"),
+    (3, [0, 1, 2, 3], [1, 0, 5], None, "index 5 lies outside 0..2"),
+    (3, [0, 1, 2, 3], [1, -1, 0], None, "index -1 lies outside 0..2"),
+    (-1, [0], [], None, "node_count must be non-negative, got -1"),
+], ids=["short-indptr", "short-decreasing-indptr", "indptr-start", "indptr-decreases",
+        "indptr-end-indices", "indptr-end-weights", "index-past-end", "negative-index",
+        "negative-node-count"])
+def test_csr_constructor_rejects_the_first_fault(node_count, indptr, indices, weights, message):
+    with pytest.raises(ValueError) as err:
+        GraphInstance(node_count=node_count, indptr=np.array(indptr),
+                      indices=np.array(indices, dtype=np.int64),
+                      weights=None if weights is None else np.array(weights))
+    assert str(err.value) == message
+
+
+# ----------------------------------------------------------------------
+# the loader's arrays against a reference built from the arc list
+
+
+def reference_load(indicator, lines, path):
+    """Per-graph GraphInstance of the arcs each line lists, both ways,
+    and the duplicate warnings, from plain Python over the file."""
+    members = {}
+    for node, graph in enumerate(indicator):
+        members.setdefault(graph, []).append(node)
+    local = {node: i for nodes in members.values() for i, node in enumerate(nodes)}
+    arcs = {graph: set() for graph in members}
+    seen, warned = set(), []
+    for n, (a, b) in enumerate(lines, start=1):
+        if (a, b) in seen:
+            warned.append(f"{path}:{n}: duplicate edge ({a + 1}, {b + 1})")
+        seen.add((a, b))
+        arcs[indicator[a]] |= {(local[a], local[b]), (local[b], local[a])}
+    graphs = [GraphInstance(node_count=len(members[g]),
+                            edges=[(i, j, 1.0) for i, j in arcs[g]])
+              for g in sorted(members)]
+    return graphs, warned
+
+
+def load_with_warnings(directory, name):
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        ds = load_tu_dataset(directory, name)
+    return ds, [str(w.message) for w in record]
+
+
+def assert_same_csr(got, want):
+    for g, ref in zip(got, want, strict=True):
+        assert g.node_count == ref.node_count
+        for field in ("indptr", "indices", "weights"):
+            a, b = getattr(g, field), getattr(ref, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+@st.composite
+def tu_arc_files(draw):
+    """(graph id per node, arc lines as 0-based pairs): an interleaved
+    indicator; arcs in shuffled order, some listed one way only, some
+    repeated."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    indicator = draw(st.permutations([g for g, n in enumerate(sizes) for _ in range(n)]))
+    members = [[i for i, g in enumerate(indicator) if g == graph] for graph in range(len(sizes))]
+    lines = []
+    for nodes in members:
+        ends = st.sampled_from(nodes)
+        for a, b, both in draw(st.lists(st.tuples(ends, ends, st.booleans()), max_size=8)):
+            lines += [(a, b), (b, a)] if both else [(a, b)]
+    if lines:
+        lines += draw(st.lists(st.sampled_from(lines), max_size=4))
+    return indicator, draw(st.permutations(lines))
+
+
+def write_arc_files(directory, indicator, lines):
+    write_files(directory, name="RND", a=[f"{a + 1}, {b + 1}" for a, b in lines],
+                indicator=[str(g + 1) for g in indicator],
+                labels=[str(g % 2) for g in range(max(indicator) + 1)])
+    return str(directory), f"{directory}/RND_A.txt"
+
+
+@settings(max_examples=150, deadline=None)
+@given(tu_arc_files())
+def test_loader_arrays_and_warnings_equal_the_arc_list_reference(files):
+    indicator, lines = files
+    with tempfile.TemporaryDirectory() as tmp:
+        d, path = write_arc_files(Path(tmp), indicator, lines)
+        ds, warned = load_with_warnings(d, "RND")
+        want, want_warned = reference_load(indicator, lines, path)
+    assert_same_csr(ds.graphs, want)
+    assert warned == want_warned
+
+
+def test_loader_keys_past_int32_on_a_long_path(tmp_path, monkeypatch):
+    """A 50,000-node path puts n_nodes * width past 2**31, so the keys are
+    int64; the arcs are listed one way, one of them twice."""
+    n = 50_000
+    lines = [(i, i + 1) for i in range(n - 1)] + [(7, 8)]
+    d, path = write_arc_files(tmp_path, [0] * n, lines)
+    loaded = []
+    seen = recorded_sorts(monkeypatch, lambda: loaded.extend(load_with_warnings(d, "RND")))
+    ds, warned = loaded
+    want, want_warned = reference_load([0] * n, lines, path)
+    assert {kind for _, kind in seen} == {np.dtype(np.int64)}
+    assert_same_csr(ds.graphs, want)
+    assert warned == want_warned == [f"{path}:{n}: duplicate edge (8, 9)"]
+
+
+def test_symmetric_file_sorts_nothing_longer_than_its_arc_lines(tmp_path, monkeypatch):
+    """Both directions listed: the forward keys are the arc set and only
+    the reversed keys are sorted; one direction only: the two sorted
+    key arrays are merged."""
+    def sizes(d):
+        sorts = recorded_sorts(monkeypatch, lambda: load_tu_dataset(d, "RND"))
+        return [size for size, _ in sorts]
+
+    symmetric = [(0, 1), (1, 0), (1, 2), (2, 1), (3, 3), (3, 4), (4, 3)]  # in key order
+    for name, lines in [("in-order", symmetric), ("shuffled", symmetric[::-1])]:
+        d, _ = write_arc_files(tmp_path / name, [0, 0, 0, 1, 1], lines)
+        assert sizes(d) and max(sizes(d)) <= len(lines), name
+    assert recorded_sorts(monkeypatch, lambda: load_tu_dataset(
+        str(tmp_path / "in-order"), "RND")) == [(len(symmetric), np.int32)]  # reversed keys only
+    one_way = [(0, 1), (1, 2), (2, 1), (3, 4), (3, 3)]
+    d, _ = write_arc_files(tmp_path / "one-way", [0, 0, 0, 1, 1], one_way)
+    merged, *before = sizes(d)[::-1]
+    assert merged == 2 * len(one_way) > max(before)

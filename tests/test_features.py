@@ -15,7 +15,7 @@ from segbert.features import (
 
 from conftest import (attach_attrs, attach_tags, cycle_graph, path_graph, random_graph,
                       star_graph, synth_dataset)
-from graph_helpers import positional_embedding, undirected_edge_count
+from graph_helpers import positional_embedding, recorded_sorts, undirected_edge_count
 from wl_oracle import brute_force_wl, partition_of
 
 
@@ -208,6 +208,29 @@ def test_wl_cross_graph_partition_ignores_graph_order(iterations):
     assert backward != forward  # numbering follows order; the classes do not
     assert (partition_of([c for row in forward for c in row])
             == partition_of([c for row in backward for c in row]))
+
+
+def test_wl_round_is_one_int32_sort_of_the_arcs(monkeypatch):
+    graphs = _mixed_wl_set()
+    arcs = sum(len(g.indices) for g in graphs)
+    assert recorded_sorts(monkeypatch, lambda: dataset_wl_codes(graphs, 1)) == [
+        (arcs, np.dtype(np.int32))]
+    assert recorded_sorts(monkeypatch, lambda: dataset_wl_codes(graphs, 0)) == []
+
+
+def test_wl_codes_with_keys_past_int32_equal_the_oracle(monkeypatch):
+    """A 50,000-node path with 45,000 distinct tags puts nodes * span past
+    2**31 in every round; a tail of three repeated tags leaves the
+    neighbor multisets something to split."""
+    n = 50_000
+    tags = list(range(45_000)) + np.random.default_rng(5).integers(0, 3, n - 45_000).tolist()
+    g = path_graph(n)
+    g.node_tags = tags
+    got = []
+    seen = recorded_sorts(monkeypatch, lambda: got.extend(dataset_wl_codes([g], 2)))
+    assert [kind for _, kind in seen] == [np.dtype(np.int64)] * 2
+    assert got == _first_appearance(brute_force_wl([g], 2))
+    assert len(set(got[0])) > len(set(tags))
 
 
 @pytest.mark.parametrize("iterations", [-1, -3])
