@@ -19,7 +19,14 @@ from dataclasses import dataclass, field, fields, replace
 from .dataset import DatasetError, GraphDataset, load_tu_dataset
 from .gradcheck import TOLERANCE, model_gradcheck
 from .model import RESIDUAL_MODES, ModelConfig, ModelParams, config_for, save_checkpoint
-from .training import TrainConfig, check_jobs, default_learning_rate, run_cv
+from .training import (
+    TrainConfig,
+    blas_threads,
+    check_jobs,
+    default_learning_rate,
+    run_cv,
+    set_blas_threads,
+)
 from .unify import Strategy, resolve_plan
 
 __all__ = ["RunConfig", "build_configs", "main", "cmd_train", "cmd_inspect", "cmd_gradcheck"]
@@ -296,11 +303,18 @@ def main(argv=None) -> int:
     p_grad.set_defaults(func=cmd_gradcheck)
 
     args = parser.parse_args(argv)
+    # one OpenBLAS thread for the run: a second bought nothing at
+    # --jobs 1, and one leaves the cores to evaluate_accuracy's threads
+    previous = blas_threads()
+    set_blas_threads(1)
     try:
         return args.func(args)
     except (DatasetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if previous is not None:
+            set_blas_threads(previous)
 
 
 if __name__ == "__main__":

@@ -77,12 +77,49 @@ def _check_csr(n: int, indptr, indices, weights) -> None:
             raise ValueError(f"index {lo if lo < 0 else hi} lies outside 0..{n - 1}")
 
 
+def _check_symmetric(n: int, indptr, indices, weights) -> None:
+    """Raise ValueError at the first row whose columns do not strictly
+    increase, then at the first arc whose reverse is missing or weighs
+    otherwise; the arrays have passed ``_check_csr``. One key per arc,
+    row * n + column, strictly increases exactly when every row does."""
+    rows, cols = np.arange(n).repeat(np.diff(indptr)), np.asarray(indices, dtype=np.int64)
+    key, reverse = rows * n + cols, cols * n + rows
+    unsorted = np.flatnonzero(key[1:] <= key[:-1])
+    if len(unsorted):
+        a = unsorted[0]
+        raise ValueError(f"row {rows[a]}'s columns do not strictly increase: "
+                         f"{cols[a]} then {cols[a + 1]}")
+    at = np.minimum(np.searchsorted(key, reverse), max(len(key) - 1, 0))
+    missing = np.flatnonzero(key[at] != reverse)
+    if len(missing):
+        a = missing[0]
+        raise ValueError(f"arc ({rows[a]}, {cols[a]}) has no reverse arc ({cols[a]}, {rows[a]})")
+    if weights is not None:
+        weights = np.asarray(weights)
+        differ = np.flatnonzero(weights[at] != weights)
+        if len(differ):
+            a = differ[0]
+            raise ValueError(f"arc ({rows[a]}, {cols[a]}) has weight {weights[a]} but "
+                             f"its reverse has weight {weights[at[a]]}")
+
+
+def _check_rows(n: int, node_tags, node_attributes) -> None:
+    """Raise ValueError unless tags and attributes have one row per node."""
+    for what, rows in (("node_tags", node_tags), ("node_attributes", node_attributes)):
+        if rows is not None and len(rows) != n:
+            raise ValueError(f"{what} has {len(rows)} rows for {n} nodes")
+
+
 class GraphInstance:
     """One graph: local node ids 0..node_count-1 in symmetric CSR storage.
 
     Node i's neighbours, in increasing order, are
     ``indices[indptr[i]:indptr[i + 1]]`` with connection ``weights``.
     Build it from an arc list (``edges=[(i, j, w), ...]``) or the arrays.
+    Arrays whose rows are not strictly increasing, or that hold an arc
+    without its reverse of equal weight, raise ValueError, as do tags or
+    attributes without one row per node. Tags and attributes assigned
+    after construction are checked when the graph is prepared.
     """
 
     def __init__(self, node_count: int, edges: list | None = None,
@@ -92,6 +129,7 @@ class GraphInstance:
         self.node_count = int(node_count)
         if self.node_count < 0:
             raise ValueError(f"node_count must be non-negative, got {self.node_count}")
+        _check_rows(self.node_count, node_tags, node_attributes)
         self.node_tags = node_tags
         self.node_attributes = node_attributes
         self.label = label
@@ -99,8 +137,22 @@ class GraphInstance:
             indptr, indices, weights = _csr_from_arcs(self.node_count, edges or [])
         else:
             _check_csr(self.node_count, indptr, indices, weights)
+            _check_symmetric(self.node_count, indptr, indices, weights)
         self.indptr, self.indices = indptr, indices
         self.weights = np.ones(len(indices)) if weights is None else weights
+
+    @classmethod
+    def _from_symmetric(cls, node_count: int, node_tags, node_attributes, label: int,
+                        indptr, indices, weights) -> "GraphInstance":
+        """A graph over CSR arrays built sorted and symmetric, with rows
+        for every node (the loader's): the constructor without
+        ``_check_symmetric`` and ``_check_rows``."""
+        _check_csr(node_count, indptr, indices, weights)
+        graph = cls.__new__(cls)
+        graph.node_count, graph.label = int(node_count), label
+        graph.node_tags, graph.node_attributes = node_tags, node_attributes
+        graph.indptr, graph.indices, graph.weights = indptr, indices, weights
+        return graph
 
     def arc_rows(self) -> np.ndarray:
         """Source node of every stored arc, aligned with ``indices``."""
@@ -340,15 +392,16 @@ def load_tu_dataset(directory: str, name: str) -> GraphDataset:
     cols = (key % width).astype(np.int64)
     ones = np.ones(len(cols))
 
+    # the keys are sorted, distinct and symmetric, so each graph's rows
+    # are too: the graphs skip that check
     graphs = []
     for g in range(graph_count):
         lo, hi = starts[g], starts[g + 1]
         a, b = row_ptr[lo], row_ptr[hi]
-        graphs.append(GraphInstance(
-            node_count=hi - lo, label=int(labels[g]),
-            node_tags=None if tags is None else tags[lo:hi],
-            node_attributes=None if attrs is None else attrs[lo:hi],
-            indptr=row_ptr[lo:hi + 1] - a, indices=cols[a:b], weights=ones[a:b]))
+        graphs.append(GraphInstance._from_symmetric(
+            hi - lo, None if tags is None else tags[lo:hi],
+            None if attrs is None else attrs[lo:hi], int(labels[g]),
+            row_ptr[lo:hi + 1] - a, cols[a:b], ones[a:b]))
 
     return GraphDataset(
         name=name,

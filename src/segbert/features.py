@@ -77,8 +77,12 @@ def dataset_wl_codes(graphs: Sequence[GraphInstance],
     degrees = np.concatenate(per_graph)
     owner = np.arange(nodes, dtype=np.int32).repeat(degrees)
     neighbor = np.concatenate([g.indices + lo for g, lo in zip(graphs, bounds)])
-    init = np.concatenate([d if g.node_tags is None else np.asarray(g.node_tags).reshape(-1)
-                           for g, d in zip(graphs, per_graph)])
+    init = [d if g.node_tags is None else np.asarray(g.node_tags).reshape(-1)
+            for g, d in zip(graphs, per_graph)]
+    for i, (g, start) in enumerate(zip(graphs, init)):
+        if len(start) != g.node_count:  # tags assigned after construction
+            raise ValueError(f"graph {i}: tags has {len(start)} rows for {g.node_count} nodes")
+    init = np.concatenate(init)
     table: dict = {}
     flat = [table.setdefault(v, len(table)) for v in init.tolist()]
     # node i's signature is the run words[first[i]:first[i + 1]]: its

@@ -14,11 +14,14 @@ depend on execution order and parallel runs match sequential ones.
 
 from __future__ import annotations
 
+import contextvars
 import csv
+import ctypes
+import functools
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -46,6 +49,7 @@ __all__ = [
     "PRETRAIN_TASKS",
     "RunSummary",
     "TrainConfig",
+    "blas_threads",
     "check_jobs",
     "default_learning_rate",
     "evaluate_accuracy",
@@ -53,6 +57,7 @@ __all__ = [
     "pretrain",
     "pretrain_batch_loss",
     "run_cv",
+    "set_blas_threads",
     "write_reports",
 ]
 
@@ -61,8 +66,15 @@ PRETRAIN_TASKS = ("reconstruction", "structure")
 # Evaluation batches hold at most this many slots; a larger graph goes
 # alone. Eval time on MUTAG-, PROTEINS- and COLLAB-shaped sets was flat
 # from ~800 to ~3200 slots (2-core x86, one BLAS thread), and 2048 keeps
-# each PROTEINS-shaped CV fold (at most ~1760 slots) in one batch.
+# each PROTEINS-shaped CV fold (at most ~1760 slots) in one batch, which
+# runs on the calling thread. Several batches share the usable cores
+# through threads when OpenBLAS runs one thread per call (see
+# evaluate_accuracy); the budget keeps each thread's arrays near cache.
 EVAL_SLOTS = 2048
+
+# Set in run_cv's fold workers only: at most this many eval threads per
+# worker, so that the workers together run no more threads than cores.
+_worker_eval_threads: int | None = None
 
 
 def default_learning_rate(dataset_name: str) -> float:
@@ -210,11 +222,68 @@ def _run_epoch(params: ModelParams, inputs: list, indices: np.ndarray,
     return total_loss / n, correct / n
 
 
+@functools.cache
+def _openblas() -> tuple | None:
+    """(get, set) thread-count functions of the OpenBLAS numpy calls, or
+    None for another BLAS. numpy's core extension links the library, and
+    a symbol looked up through a library is searched in what it links."""
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as core
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def blas_threads() -> int | None:
+    """Threads numpy's OpenBLAS runs each call on; None for another BLAS."""
+    calls = _openblas()
+    return None if calls is None else calls[0]()
+
+
+def set_blas_threads(count: int) -> None:
+    """Run numpy's OpenBLAS calls on ``count`` threads; another BLAS is
+    left as it is."""
+    calls = _openblas()
+    if calls is not None:
+        calls[1](count)
+
+
+def _usable_cores() -> int:
+    """How many cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _eval_threads(chunk_count: int) -> int:
+    """Threads for ``chunk_count`` eval batches: min(batches, usable cores
+    // BLAS threads), and at most a fold worker's share; 1 for a BLAS
+    whose thread count is unknown."""
+    blas = blas_threads()
+    if blas is None:
+        return 1
+    threads = min(chunk_count, _usable_cores() // blas)
+    if _worker_eval_threads is not None:
+        threads = min(threads, _worker_eval_threads)
+    return max(threads, 1)
+
+
 def evaluate_accuracy(params: ModelParams, config: ModelConfig, inputs: list,
                       indices) -> float:
     """Eval-mode accuracy over the indexed graphs, without recording.
 
-    The graphs go through in index order, in batches of at most
+    The graphs are cut, in index order, into batches of at most
     ``EVAL_SLOTS`` slots; a graph larger than that forms a batch alone.
     A budget in slots rather than graphs keeps each batch's arrays,
     such as the (graphs, heads, k, k) attention scores, near cache size
@@ -224,16 +293,40 @@ def evaluate_accuracy(params: ModelParams, config: ModelConfig, inputs: list,
     Each batch runs through ``paused_value``: only its logits are
     checked for NaN and Inf, and non-finite logits replay the batch on
     a recording tape, whose error names the op that overflowed.
+
+    Several batches are built and classified at once on a thread pool
+    opened for the call, of min(batches, usable cores // OpenBLAS
+    threads) threads, fewer in a ``run_cv`` fold worker; numpy and
+    OpenBLAS release the GIL in their loops. A pool of one thread, one
+    batch or another BLAS runs the batches one by one on this thread.
+    Each batch has the same graphs and logit bits either way, and the
+    correct counts are integers, so the accuracy does not depend on the
+    path. Each task runs in a copy of the caller's context, so numpy's
+    ``errstate`` applies in the threads too; the first failing batch in
+    index order raises its own error; and the pool is joined before the
+    call returns, so no thread outlives it.
     """
     indices = np.asarray(indices, dtype=int)
     if indices.size == 0:
         raise ValueError("cannot evaluate an empty index set")
-    correct = 0
-    chunks = _slot_chunks(inputs, indices, EVAL_SLOTS)
-    for batch in _batches(inputs, chunks, config.class_count):
+    chunks = list(_slot_chunks(inputs, indices, EVAL_SLOTS))
+
+    def count(chunk) -> int:
+        batch = build_batch([inputs[i] for i in chunk], config.class_count)
         logits = paused_value(
             lambda tape: classify_batch(tape, params, config, batch, training=False)[1])
-        correct += _correct(logits, batch)
+        return _correct(logits, batch)
+
+    threads = _eval_threads(len(chunks)) if len(chunks) > 1 else 1
+    if threads == 1:
+        return sum(map(count, chunks)) / indices.size
+    pool = ThreadPoolExecutor(threads)
+    try:
+        tasks = [pool.submit(contextvars.copy_context().run, count, chunk)
+                 for chunk in chunks]
+        correct = sum(task.result() for task in tasks)
+    finally:
+        pool.shutdown(cancel_futures=True)
     return correct / indices.size
 
 
@@ -389,6 +482,14 @@ def check_jobs(jobs: int) -> None:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
 
+def _fold_worker_start(eval_threads: int) -> None:
+    """Set up a fold worker: one OpenBLAS thread, and at most
+    ``eval_threads`` threads per evaluate_accuracy call."""
+    global _worker_eval_threads
+    set_blas_threads(1)
+    _worker_eval_threads = eval_threads
+
+
 def _fold_job(packed):
     inputs, split, config, train_cfg, fold_index, init = packed
     return finetune_fold(inputs, split, config, train_cfg, fold_index, init)
@@ -401,7 +502,10 @@ def run_cv(dataset: GraphDataset, plan: UnifyPlan, config: ModelConfig,
 
     Pre-training, when enabled in train_cfg, runs once over the whole
     dataset and every fold starts from those parameters. ``jobs`` folds
-    run at once in worker processes; 1 runs them in this process.
+    run at once in worker processes; 1 runs them in this process. Each
+    worker runs one OpenBLAS thread and evaluates on at most
+    max(1, usable cores // workers) threads, so the workers never run
+    more busy threads than there are cores.
     """
     check_jobs(jobs)
     inputs = prepare_dataset(dataset, plan, config)
@@ -413,7 +517,9 @@ def run_cv(dataset: GraphDataset, plan: UnifyPlan, config: ModelConfig,
     packed = [(inputs, split, config, train_cfg, fold, init)
               for fold, split in enumerate(splits)]
     reports = []
-    with (ProcessPoolExecutor(max_workers=min(jobs, len(packed)))
+    workers = min(jobs, len(packed))
+    with (ProcessPoolExecutor(max_workers=workers, initializer=_fold_worker_start,
+                              initargs=(max(1, _usable_cores() // workers),))
           if jobs > 1 else nullcontext()) as pool:
         results = (pool.map if pool else map)(_fold_job, packed)
         for fold in range(len(packed)):

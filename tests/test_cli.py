@@ -8,6 +8,7 @@ import pytest
 
 import segbert.autodiff as autodiff
 import segbert.cli as cli
+import segbert.training as training
 from conftest import synth_dataset
 from segbert.cli import RunConfig, build_configs, main, parse_config_text
 from segbert.dataset import load_tu_dataset, write_tu_dataset
@@ -163,6 +164,25 @@ def test_inspect_env_var_fallback(data_dir, capsys, monkeypatch):
     monkeypatch.setenv("SEGBERT_DATA_DIR", data_dir)
     assert main(["inspect", "--dataset", "SYNTH"]) == 0
     assert "SYNTH: 12 graphs" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(training.blas_threads() is None, reason="numpy's BLAS is not OpenBLAS")
+@pytest.mark.parametrize("code", [0, 1])
+def test_main_runs_one_blas_thread_and_restores_the_count(data_dir, monkeypatch, code):
+    """A command runs with one OpenBLAS thread; the caller's count is back
+    afterwards, also when the command fails."""
+    before = training.blas_threads()
+    seen = []
+
+    def inspect_threads(args):
+        seen.append(training.blas_threads())
+        if code:
+            raise ValueError("synthetic failure")
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_inspect", inspect_threads)
+    assert main(["inspect", "--dataset", "SYNTH", "--data-dir", data_dir]) == code
+    assert seen == [1] and training.blas_threads() == before
 
 
 def test_missing_data_dir_is_exit_1(capsys, monkeypatch):

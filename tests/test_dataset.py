@@ -585,15 +585,51 @@ def test_writer_output_is_pinned_byte_for_byte(tmp_path):
     (3, [0, 1, 2, 3], [1, 0, 5], None, "index 5 lies outside 0..2"),
     (3, [0, 1, 2, 3], [1, -1, 0], None, "index -1 lies outside 0..2"),
     (-1, [0], [], None, "node_count must be non-negative, got -1"),
+    # the storage GraphInstance promises: sorted rows, every arc both ways
+    # with one weight. The first two loaded with degrees [2, 0, 0] and an
+    # unsorted edges array before the constructor checked them.
+    (3, [0, 2, 2, 2], [2, 1], None, "row 0's columns do not strictly increase: 2 then 1"),
+    (3, [0, 2, 3, 4], [2, 1, 0, 0], None,
+     "row 0's columns do not strictly increase: 2 then 1"),
+    (3, [0, 2, 3, 4], [1, 1, 0, 0], None,
+     "row 0's columns do not strictly increase: 1 then 1"),
+    (3, [0, 1, 2, 3], [1, 0, 0], None, "arc (2, 0) has no reverse arc (0, 2)"),
+    (3, [0, 1, 3, 4], [1, 0, 2, 0], None, "arc (1, 2) has no reverse arc (2, 1)"),
+    (2, [0, 1, 2], [1, 0], [1.0, 2.0], "arc (0, 1) has weight 1.0 but its reverse has weight 2.0"),
 ], ids=["short-indptr", "short-decreasing-indptr", "indptr-start", "indptr-decreases",
         "indptr-end-indices", "indptr-end-weights", "index-past-end", "negative-index",
-        "negative-node-count"])
+        "negative-node-count", "unsorted-row-one-way", "unsorted-row", "repeated-column",
+        "missing-reverse-last", "missing-reverse-middle", "reverse-weight-differs"])
 def test_csr_constructor_rejects_the_first_fault(node_count, indptr, indices, weights, message):
     with pytest.raises(ValueError) as err:
         GraphInstance(node_count=node_count, indptr=np.array(indptr),
                       indices=np.array(indices, dtype=np.int64),
                       weights=None if weights is None else np.array(weights))
     assert str(err.value) == message
+
+
+def test_csr_constructor_keeps_symmetric_sorted_arrays():
+    # a self-loop is its own reverse; the empty graph has no arcs to check
+    g = GraphInstance(node_count=3, indptr=np.array([0, 2, 3, 5]),
+                      indices=np.array([0, 2, 2, 0, 1]),
+                      weights=np.array([0.5, 2.0, 1.0, 2.0, 1.0]))
+    assert g.edges.tolist() == [(0, 0, 0.5), (0, 2, 2.0), (1, 2, 1.0), (2, 0, 2.0),
+                                (2, 1, 1.0)]
+    assert GraphInstance(node_count=0, indptr=np.array([0]),
+                         indices=np.array([], dtype=np.int64)).node_count == 0
+
+
+@pytest.mark.parametrize("rows, message", [
+    (dict(node_tags=[1]), "node_tags has 1 rows for 3 nodes"),
+    (dict(node_tags=[0, 1, 2, 0]), "node_tags has 4 rows for 3 nodes"),
+    (dict(node_attributes=np.zeros((2, 4))), "node_attributes has 2 rows for 3 nodes"),
+], ids=["one-tag", "extra-tag", "attribute-rows"])
+def test_constructor_rejects_rows_that_are_not_one_per_node(rows, message):
+    for arcs in (dict(edges=[(0, 1, 1.0), (1, 0, 1.0)]),
+                 dict(indptr=np.array([0, 1, 2, 2]), indices=np.array([1, 0]))):
+        with pytest.raises(ValueError) as err:
+            GraphInstance(node_count=3, **arcs, **rows)
+        assert str(err.value) == message
 
 
 # ----------------------------------------------------------------------

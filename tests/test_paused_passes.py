@@ -2,6 +2,7 @@
 recording replay that names the op when that result is not finite."""
 
 import inspect
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy import sparse
 
 import segbert.autodiff as autodiff
 import segbert.gradcheck as gradcheck
+import segbert.training as training_module
 from segbert.autodiff import NonFiniteError, RowGroups, Tape, Tensor, paused_value
 from segbert.dataset import GraphInstance
 from segbert.features import build_bundles
@@ -212,6 +214,28 @@ def test_evaluate_accuracy_overflow_names_the_op():
     with np.errstate(all="ignore"):
         with pytest.raises(NonFiniteError, match="op 'mlp' produced a non-finite value"):
             evaluate_accuracy(params, cfg, inputs, [0, 1])
+
+
+def test_evaluate_accuracy_overflow_in_a_worker_thread_names_the_op(monkeypatch):
+    cfg, params, inputs = padded_batch()
+    params["adj_embed.fc1.weight"].value[...] = 1e308
+    monkeypatch.setattr(training_module, "EVAL_SLOTS", 6)  # one batch per graph
+    monkeypatch.setattr(training_module, "blas_threads", lambda: 1)
+    monkeypatch.setattr(training_module, "_usable_cores", lambda: 2)
+    threads = set()
+    real_classify = training_module.classify_batch
+
+    def recording_classify(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return real_classify(*args, **kwargs)
+
+    monkeypatch.setattr(training_module, "classify_batch", recording_classify)
+    # the errstate reaches the threads: an overflow warning there would be
+    # an error under the suite's filter, raised before the replay names the op
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteError, match="op 'mlp' produced a non-finite value"):
+            evaluate_accuracy(params, cfg, inputs, [0, 1])
+    assert threads and threading.get_ident() not in threads
 
 
 def test_finite_difference_check_overflow_on_a_perturbed_entry_names_the_op():

@@ -197,6 +197,20 @@ def test_each_feature_row_count_is_checked(field, value):
         prepare_graph(g, features, UnifyPlan(Strategy.FULL_INPUT, 5), config)
 
 
+@pytest.mark.parametrize("tags", [[0, 1], [0, 1, 2, 0, 1, 2, 0]], ids=["short", "long"])
+def test_tags_assigned_after_construction_are_checked(tags):
+    """The constructor checks the tags it is given; tags assigned later,
+    as toy_graph assigns them, are checked when the features are built
+    (they used to fail inside WL with an IndexError or a broadcast error)."""
+    g = toy_graph()
+    g.node_tags = tags
+    ds = GraphDataset(name="TOY", graphs=[g], class_count=2, attr_dim=3,
+                      tag_vocab_size=3, max_nodes=5, avg_nodes=5.0)
+    plan = UnifyPlan(Strategy.FULL_INPUT, 5)
+    with pytest.raises(ValueError, match=f"graph 0: tags has {len(tags)} rows for 5 nodes"):
+        prepare_dataset(ds, plan, config_for(ds, plan))
+
+
 def test_adjacency_row_count_is_checked():
     g = toy_graph()
     features = dataclasses.replace(build_bundles(g, n_adj=5),

@@ -4,6 +4,7 @@ import csv
 import math
 import multiprocessing
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -292,6 +293,9 @@ def test_evaluate_accuracy_chunks_by_slot_budget(monkeypatch):
     params = init_params(config, seed=2)
     budget = 16
     monkeypatch.setattr(training, "EVAL_SLOTS", budget)
+    # batches may run on several threads, in any order, so each record
+    # carries its batch's first graph and the records are put in index
+    # order afterwards
     batches, logits = [], []
     real_build, real_classify = training.build_batch, training.classify_batch
 
@@ -301,7 +305,7 @@ def test_evaluate_accuracy_chunks_by_slot_budget(monkeypatch):
 
     def recording_classify(tape, params, config, batch, training):
         loss, out = real_classify(tape, params, config, batch, training)
-        logits.append(out.value)
+        logits.append((batch.members[0], out.value))
         return loss, out
 
     monkeypatch.setattr(training, "build_batch", recording_build)
@@ -309,6 +313,9 @@ def test_evaluate_accuracy_chunks_by_slot_budget(monkeypatch):
     indices = np.random.default_rng(0).permutation(len(inputs))[:25]
     acc = evaluate_accuracy(params, config, inputs, indices)
 
+    position = {id(inputs[i]): p for p, i in enumerate(indices)}
+    batches.sort(key=lambda batch: position[id(batch[0])])
+    logits.sort(key=lambda record: position[id(record[0])])
     sizes = [[gi.slot_count for gi in batch] for batch in batches]
     assert any(len(s) > 1 for s in sizes) and any(s[0] > budget for s in sizes)
     for s, following in zip(sizes, sizes[1:] + [None]):
@@ -323,7 +330,106 @@ def test_evaluate_accuracy_chunks_by_slot_budget(monkeypatch):
     assert acc == np.mean([p == inputs[i].label for p, i in zip(preds, indices)])
     one_batch = real_build([inputs[i] for i in indices], config.class_count)
     _, whole = real_classify(Tape(), params, config, one_batch, training=False)
-    assert np.max(np.abs(np.concatenate(logits) - whole.value)) <= 1e-12
+    assert [id(first) for first, _ in logits] == [id(batch[0]) for batch in batches]
+    assert np.max(np.abs(np.concatenate([value for _, value in logits]) - whole.value)) <= 1e-12
+
+
+# ----------------------------------------------------------------------
+# evaluation threads
+
+
+def stub_machine(monkeypatch, blas, cores):
+    """Make evaluate_accuracy see ``cores`` usable cores and an OpenBLAS
+    of ``blas`` threads (None: another BLAS)."""
+    monkeypatch.setattr(training, "blas_threads", lambda: blas)
+    monkeypatch.setattr(training, "_usable_cores", lambda: cores)
+
+
+def eval_setup(count=30):
+    ds = synth_dataset(count=count, seed=5, lo=3, hi=20)
+    plan = UnifyPlan(Strategy.SEGMENT_SHIFTING, 4)
+    config = config_for(ds, plan, **TINY)
+    return config, prepare_dataset(ds, plan, config), init_params(config, seed=2)
+
+
+def recorded_eval(monkeypatch, params, config, inputs, indices):
+    """(accuracy, logits per batch keyed by its graphs, threads that
+    classified) of one evaluate_accuracy call."""
+    logits, threads = {}, set()
+    real_classify = training.classify_batch
+
+    def recording_classify(tape, params, config, batch, training):
+        loss, out = real_classify(tape, params, config, batch, training)
+        logits[tuple(id(gi) for gi in batch.members)] = out.value
+        threads.add(threading.get_ident())
+        return loss, out
+
+    monkeypatch.setattr(training, "classify_batch", recording_classify)
+    acc = evaluate_accuracy(params, config, inputs, indices)
+    monkeypatch.setattr(training, "classify_batch", real_classify)
+    return acc, logits, threads
+
+
+@pytest.mark.parametrize("spare, count", [(0, 1), (-1, 2), (16, 27)],
+                         ids=["one-batch", "two-batches", "many-batches"])
+def test_threaded_eval_equals_sequential_eval(monkeypatch, spare, count):
+    """``spare`` < 1 sets the budget that far from the slots of all
+    graphs; a positive ``spare`` is the budget."""
+    config, inputs, params = eval_setup()
+    indices = np.random.default_rng(0).permutation(len(inputs))
+    budget = spare if spare > 0 else sum(inputs[i].slot_count for i in indices) + spare
+    monkeypatch.setattr(training, "EVAL_SLOTS", budget)
+    assert len(list(training._slot_chunks(inputs, indices, budget))) == count
+
+    stub_machine(monkeypatch, blas=2, cores=2)
+    acc, logits, threads = recorded_eval(monkeypatch, params, config, inputs, indices)
+    assert threads == {threading.get_ident()}  # sequential
+
+    stub_machine(monkeypatch, blas=1, cores=4)
+    threaded_acc, threaded_logits, threads = recorded_eval(monkeypatch, params, config,
+                                                           inputs, indices)
+    assert threaded_acc == acc
+    assert threaded_logits.keys() == logits.keys() and len(logits) == count
+    for key, value in logits.items():  # the same bits, batch by batch
+        assert np.array_equal(threaded_logits[key], value)
+    if count > 1:
+        assert threading.get_ident() not in threads
+
+
+def test_evaluate_accuracy_joins_its_threads(monkeypatch):
+    config, inputs, params = eval_setup()
+    monkeypatch.setattr(training, "EVAL_SLOTS", 16)
+    stub_machine(monkeypatch, blas=1, cores=4)
+    before = threading.active_count()
+    evaluate_accuracy(params, config, inputs, np.arange(len(inputs)))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("blas, cores, chunks, cap, threads", [
+    (2, 2, 25, None, 1),  # OpenBLAS's own two threads fill the two cores
+    (None, 8, 25, None, 1),  # a BLAS whose thread count is unknown
+    (1, 1, 25, None, 1),
+    (1, 2, 25, None, 2),
+    (1, 2, 1, None, 1),
+    (1, 8, 3, None, 3),
+    (2, 8, 25, None, 4),
+    (1, 2, 25, 1, 1),  # a fold worker's share of two cores under jobs=2
+    (1, 8, 25, 2, 2),
+])
+def test_eval_threads_follow_cores_and_blas_threads(monkeypatch, blas, cores, chunks, cap,
+                                                    threads):
+    stub_machine(monkeypatch, blas, cores)
+    monkeypatch.setattr(training, "_worker_eval_threads", cap)
+    assert training._eval_threads(chunks) == threads
+
+
+def test_two_blas_threads_on_two_cores_evaluate_on_the_calling_thread(monkeypatch):
+    config, inputs, params = eval_setup()
+    monkeypatch.setattr(training, "EVAL_SLOTS", 16)
+    stub_machine(monkeypatch, blas=2, cores=2)
+    _, logits, threads = recorded_eval(monkeypatch, params, config, inputs,
+                                       np.arange(len(inputs)))
+    assert len(logits) > 5 and threads == {threading.get_ident()}
 
 
 def test_evaluate_accuracy_peak_memory_stays_bounded():
@@ -428,6 +534,29 @@ def test_run_cv_fold_failure_names_the_fold(monkeypatch, jobs):
     monkeypatch.setattr(training, "finetune_fold", boom)
     with pytest.raises(RuntimeError, match="fold 3 failed"):
         run_cv(ds, plan, config, cheap_train_cfg(), jobs=jobs)
+
+
+@pytest.mark.skipif(training.blas_threads() is None, reason="numpy's BLAS is not OpenBLAS")
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched finetune_fold only when forked")
+def test_fold_workers_run_one_blas_thread(monkeypatch):
+    """Each worker pins OpenBLAS to one thread whatever this process
+    runs, and evaluates on at most its share of the cores."""
+    ds, plan, config, _ = tiny_setup()
+    before = training.blas_threads()
+
+    def report_threads(inputs, split, config, cfg, fold_index=0, init=None):
+        return training.FoldReport(
+            fold_index=fold_index, epochs=[], chosen_epoch=0, best_val_accuracy=0.0,
+            final_test_accuracy=float(training.blas_threads()), wall_seconds=0.0,
+            final_values={"eval_threads": training._worker_eval_threads})
+
+    monkeypatch.setattr(training, "finetune_fold", report_threads)
+    summary = run_cv(ds, plan, config, cheap_train_cfg(), jobs=2)
+    assert summary.accuracies() == [1.0] * 10
+    share = max(1, training._usable_cores() // 2)
+    assert [r.final_values["eval_threads"] for r in summary.folds] == [share] * 10
+    assert training.blas_threads() == before and training._worker_eval_threads is None
 
 
 def test_run_cv_with_pretraining_transfer():
