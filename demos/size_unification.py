@@ -14,9 +14,7 @@ from segbert.dataset import GraphDataset, GraphInstance
 
 
 def ring(n):
-    arcs = sorted({(i, (i + 1) % n, 1.0) for i in range(n)}
-                  | {((i + 1) % n, i, 1.0) for i in range(n)})
-    return GraphInstance(node_count=n, edges=arcs)
+    return GraphInstance(node_count=n, edges=[(i, (i + 1) % n) for i in range(n)])
 
 
 graphs = [ring(n) for n in (4, 9, 17, 28)]

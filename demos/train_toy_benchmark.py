@@ -24,20 +24,15 @@ from segbert import (
 from segbert.dataset import GraphDataset, GraphInstance
 
 
-def sym(pairs):
-    arcs = {(i, j) for i, j in pairs} | {(j, i) for i, j in pairs}
-    return sorted((i, j, 1.0) for i, j in arcs)
-
-
 def ring(n, label):
     return GraphInstance(node_count=n,
-                         edges=sym([(i, (i + 1) % n) for i in range(n)]),
+                         edges=[(i, (i + 1) % n) for i in range(n)],
                          label=label)
 
 
 def star(n, label):
     return GraphInstance(node_count=n,
-                         edges=sym([(0, i) for i in range(1, n)]),
+                         edges=[(0, i) for i in range(1, n)],
                          label=label)
 
 

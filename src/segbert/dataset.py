@@ -10,10 +10,11 @@ or across graphs and non-finite attributes with an error naming
 ``file:line``, converts global ids to per-graph local indices, drops
 duplicate arcs (with a warning naming the line), completes symmetric
 storage, and remaps class labels and node tags to dense 0-based ranges.
-Every arc has weight 1.0. Arcs are handled as one integer key each,
-int32 while every key fits; the forward and the reversed keys are each
-sorted at most once, and merged only when the file lists some arc one
-way only or twice.
+Graphs are unweighted, as the layout has no arc weights. Arcs are
+handled as one integer key each, int32 while every key fits; the
+forward and the reversed keys are each sorted at most once, and merged
+only when the file lists some arc one way only or twice. An arc list
+given to ``GraphInstance`` goes through the same key path.
 """
 
 from __future__ import annotations
@@ -41,22 +42,55 @@ class DatasetError(Exception):
     """Missing or malformed dataset files; a bad line is named ``file:line``."""
 
 
+def _symmetric_csr(row_key, col_key, u, v, width: int, on_repeat=None) -> tuple:
+    """(indptr, columns) of the arcs u -> v and their reverses, sorted and distinct."""
+    # arc i -> j has the key row_key[i] + col_key[j], and row r's keys
+    # start at r * width. ``on_repeat`` gets the positions of the arcs
+    # that repeat an earlier one. Arcs in key order, as TU files are
+    # written, are sorted already: strictly increasing keys need no sort
+    # and have no repeats.
+    key = row_key[u] + col_key[v]
+    forward = key
+    if (key[1:] <= key[:-1]).any():
+        forward = np.sort(key)  # default kind: the order is unknown
+        fresh = np.append(True, forward[1:] != forward[:-1])
+        if not fresh.all():
+            if on_repeat is not None:
+                repeat = np.empty(len(key), dtype=bool)
+                # a stable order puts the first of equal arcs first
+                repeat[np.argsort(key, kind="stable")] = ~fresh
+                on_repeat(np.flatnonzero(repeat))
+            forward = forward[fresh]
+    # when every arc is listed both ways once, the sorted reversed keys
+    # are the same array and the forward keys are the symmetric arc set.
+    # Otherwise both are merged and repeats dropped; the stable kind
+    # merges the two sorted runs in one pass.
+    backward = np.sort(row_key[v] + col_key[u])  # default kind: reversed keys are out of order
+    key = forward
+    if not np.array_equal(forward, backward):
+        key = np.sort(np.concatenate([forward, backward]), kind="stable")
+        key = key[np.append(True, key[1:] != key[:-1])]
+    return (np.searchsorted(key, np.arange(len(row_key) + 1, dtype=key.dtype) * width),
+            (key % width).astype(np.int64))
+
+
 def _csr_from_arcs(n: int, edges) -> tuple:
-    """Sorted CSR arrays of an arc list; a repeated arc keeps its last weight."""
-    weight = {(i, j): w for i, j, w in edges}
-    for i, j in weight:
+    """CSR arrays of a sequence of (i, j) arcs, completed as the loader's."""
+    # a third entry is accepted only as 1.0, the weight every arc has
+    ends = []
+    for i, j, *rest in edges:
+        if not all(isinstance(e, (int, np.integer)) and not isinstance(e, bool) for e in (i, j)):
+            raise ValueError(f"arc ({i}, {j}) has an end that is not an integer")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"arc ({i}, {j}) has an end outside 0..{n - 1}")
-    arcs = sorted(weight)
-    counts = [0] * (n + 1)
-    for i, _j in arcs:
-        counts[i + 1] += 1
-    return (np.cumsum(counts, dtype=np.int64),
-            np.array([j for _i, j in arcs], dtype=np.int64),
-            np.array([weight[a] for a in arcs], dtype=np.float64))
+        if rest not in ([], [1.0]):
+            raise ValueError(f"arc ({i}, {j}) has extra entries {rest}; only 1.0 may follow")
+        ends.append((i, j))
+    u, v = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    return _symmetric_csr(np.arange(n) * n, np.arange(n), u, v, max(n, 1))
 
 
-def _check_csr(n: int, indptr, indices, weights) -> None:
+def _check_csr(n: int, indptr, indices) -> None:
     """Raise ValueError at the first fault of CSR arrays for n nodes; a
     few numpy calls whatever the size, as the loader builds every graph
     through here."""
@@ -67,22 +101,21 @@ def _check_csr(n: int, indptr, indices, weights) -> None:
         raise ValueError(f"indptr starts at {indptr[0]}, expected 0")
     if (indptr[1:] < indptr[:-1]).any():
         raise ValueError("indptr decreases")
-    for what, values in (("indices", indices), ("weights", weights)):
-        if values is not None and indptr[-1] != len(values):
-            raise ValueError(f"indptr ends at {indptr[-1]} but {what} has "
-                             f"{len(values)} entries")
+    if indptr[-1] != len(indices):
+        raise ValueError(f"indptr ends at {indptr[-1]} but indices has "
+                         f"{len(indices)} entries")
     if len(indices):
         lo, hi = indices.min(), indices.max()
         if lo < 0 or hi >= n:
             raise ValueError(f"index {lo if lo < 0 else hi} lies outside 0..{n - 1}")
 
 
-def _check_symmetric(n: int, indptr, indices, weights) -> None:
+def _check_symmetric(n: int, indptr, indices) -> None:
     """Raise ValueError at the first row whose columns do not strictly
-    increase, then at the first arc whose reverse is missing or weighs
-    otherwise; the arrays have passed ``_check_csr``. One key per arc,
-    row * n + column, strictly increases exactly when every row does."""
-    rows, cols = np.arange(n).repeat(np.diff(indptr)), np.asarray(indices, dtype=np.int64)
+    increase, then at the first arc whose reverse is missing; the arrays
+    have passed ``_check_csr``. One key per arc, row * n + column,
+    strictly increases exactly when every row does."""
+    rows, cols = np.arange(n).repeat(np.diff(indptr)), indices
     key, reverse = rows * n + cols, cols * n + rows
     unsorted = np.flatnonzero(key[1:] <= key[:-1])
     if len(unsorted):
@@ -94,13 +127,6 @@ def _check_symmetric(n: int, indptr, indices, weights) -> None:
     if len(missing):
         a = missing[0]
         raise ValueError(f"arc ({rows[a]}, {cols[a]}) has no reverse arc ({cols[a]}, {rows[a]})")
-    if weights is not None:
-        weights = np.asarray(weights)
-        differ = np.flatnonzero(weights[at] != weights)
-        if len(differ):
-            a = differ[0]
-            raise ValueError(f"arc ({rows[a]}, {cols[a]}) has weight {weights[a]} but "
-                             f"its reverse has weight {weights[at[a]]}")
 
 
 def _check_rows(n: int, node_tags, node_attributes) -> None:
@@ -114,18 +140,19 @@ class GraphInstance:
     """One graph: local node ids 0..node_count-1 in symmetric CSR storage.
 
     Node i's neighbours, in increasing order, are
-    ``indices[indptr[i]:indptr[i + 1]]`` with connection ``weights``.
-    Build it from an arc list (``edges=[(i, j, w), ...]``) or the arrays.
-    Arrays whose rows are not strictly increasing, or that hold an arc
-    without its reverse of equal weight, raise ValueError, as do tags or
-    attributes without one row per node. Tags and attributes assigned
-    after construction are checked when the graph is prepared.
+    ``indices[indptr[i]:indptr[i + 1]]``; arcs have no weights. Build it
+    from a sequence of (i, j) arcs or an (arcs, 2) integer array, which
+    is completed and de-duplicated as a loaded file is, or from integer
+    arrays, which raise ValueError when a row is not strictly increasing
+    or an arc has no reverse. Tags or attributes without one row per
+    node raise too; assigned after construction, they are checked when
+    the graph is prepared.
     """
 
-    def __init__(self, node_count: int, edges: list | None = None,
+    def __init__(self, node_count: int, edges: list | np.ndarray | None = None,
                  node_tags: list | None = None,
                  node_attributes: np.ndarray | None = None, label: int = 0,
-                 *, indptr=None, indices=None, weights=None):
+                 *, indptr=None, indices=None):
         self.node_count = int(node_count)
         if self.node_count < 0:
             raise ValueError(f"node_count must be non-negative, got {self.node_count}")
@@ -134,24 +161,28 @@ class GraphInstance:
         self.node_attributes = node_attributes
         self.label = label
         if indptr is None:
-            indptr, indices, weights = _csr_from_arcs(self.node_count, edges or [])
+            indptr, indices = _csr_from_arcs(self.node_count, [] if edges is None else edges)
         else:
-            _check_csr(self.node_count, indptr, indices, weights)
-            _check_symmetric(self.node_count, indptr, indices, weights)
+            indptr, indices = np.asarray(indptr), np.asarray(indices)
+            for what, values in (("indptr", indptr), ("indices", indices)):
+                if values.size and values.dtype.kind not in "iu":
+                    raise ValueError(f"{what} holds {values.dtype} values, not integers")
+            indptr, indices = (a.astype(np.int64, copy=False) for a in (indptr, indices))
+            _check_csr(self.node_count, indptr, indices)
+            _check_symmetric(self.node_count, indptr, indices)
         self.indptr, self.indices = indptr, indices
-        self.weights = np.ones(len(indices)) if weights is None else weights
 
     @classmethod
     def _from_symmetric(cls, node_count: int, node_tags, node_attributes, label: int,
-                        indptr, indices, weights) -> "GraphInstance":
+                        indptr, indices) -> "GraphInstance":
         """A graph over CSR arrays built sorted and symmetric, with rows
         for every node (the loader's): the constructor without
         ``_check_symmetric`` and ``_check_rows``."""
-        _check_csr(node_count, indptr, indices, weights)
+        _check_csr(node_count, indptr, indices)
         graph = cls.__new__(cls)
         graph.node_count, graph.label = int(node_count), label
         graph.node_tags, graph.node_attributes = node_tags, node_attributes
-        graph.indptr, graph.indices, graph.weights = indptr, indices, weights
+        graph.indptr, graph.indices = indptr, indices
         return graph
 
     def arc_rows(self) -> np.ndarray:
@@ -160,15 +191,10 @@ class GraphInstance:
 
     @property
     def edges(self) -> np.ndarray:
-        """The stored arcs, both directions present and sorted, as a
-        structured array with fields ``i``, ``j`` and ``weight``; built
-        from the CSR arrays on each read."""
-        arcs = np.empty(len(self.indices),
-                        dtype=[("i", np.int64), ("j", np.int64), ("weight", np.float64)])
-        arcs["i"] = self.arc_rows()
-        arcs["j"] = self.indices
-        arcs["weight"] = self.weights
-        return arcs
+        """The stored arcs, both directions present and sorted, as an
+        (arcs, 2) int64 array of ends; built from the CSR arrays on each
+        read."""
+        return np.column_stack([self.arc_rows(), self.indices])
 
 
 @dataclass
@@ -333,27 +359,18 @@ def load_tu_dataset(directory: str, name: str) -> GraphDataset:
 
     # every arc as one key (graph-major row, local column), int32 while
     # every key fits, which halves the sorts. The key names its arc, so
-    # the sorted keys show the duplicates, and without their repeats
-    # they are the arcs the file lists. A file in arc order, as TU files
-    # are written, is sorted already: strictly increasing keys need no
-    # sort and have no repeats.
+    # the sorted keys show the duplicates, each warned of by its line.
     width = int(counts.max())
     kind = np.int32 if n_nodes * width < 2 ** 31 else np.int64
-    row_key, col_key = position.astype(kind) * width, local.astype(kind)
-    key = row_key[u] + col_key[v]
-    forward = key
-    if (key[1:] <= key[:-1]).any():
-        forward = np.sort(key)  # default kind: the order is unknown
-        fresh = np.append(True, forward[1:] != forward[:-1])
-        if not fresh.all():
-            repeat = np.empty(len(key), dtype=bool)
-            # a stable order puts the first line of equal arcs first
-            repeat[np.argsort(key, kind="stable")] = ~fresh
-            lines = _lines(edges_path)
-            for r in np.flatnonzero(repeat):
-                warnings.warn(f"{edges_path}:{lines[r][0]}: duplicate edge "
-                              f"({u[r] + 1}, {v[r] + 1})", stacklevel=2)
-            forward = forward[fresh]
+
+    def warn_repeats(rows):
+        lines = _lines(edges_path)
+        for r in rows:
+            warnings.warn(f"{edges_path}:{lines[r][0]}: duplicate edge "
+                          f"({u[r] + 1}, {v[r] + 1})", stacklevel=4)
+
+    row_ptr, cols = _symmetric_csr(position.astype(kind) * width, local.astype(kind),
+                                   u, v, width, warn_repeats)
 
     tags_path = prefix + "_node_labels.txt"
     tags = None
@@ -377,21 +394,6 @@ def load_tu_dataset(directory: str, name: str) -> GraphDataset:
             raise DatasetError(f"{attrs_path}:{n}: non-finite attribute in {text!r}")
         attrs = attrs[by_graph]
 
-    # symmetric completion: when the file lists both directions of every
-    # arc once, its sorted reversed keys are the same array and the
-    # forward keys are the symmetric arc set. Otherwise (arcs listed one
-    # way only, or repeated) both are merged and repeats dropped; the
-    # stable kind merges the two sorted runs in one pass.
-    backward = np.sort(row_key[v] + col_key[u])  # default kind: reversed keys are out of order
-    key = forward
-    if not np.array_equal(forward, backward):
-        key = np.sort(np.concatenate([forward, backward]), kind="stable")
-        key = key[np.append(True, key[1:] != key[:-1])]
-    # row r's keys start at r * width
-    row_ptr = np.searchsorted(key, np.arange(n_nodes + 1, dtype=kind) * width)
-    cols = (key % width).astype(np.int64)
-    ones = np.ones(len(cols))
-
     # the keys are sorted, distinct and symmetric, so each graph's rows
     # are too: the graphs skip that check
     graphs = []
@@ -401,7 +403,7 @@ def load_tu_dataset(directory: str, name: str) -> GraphDataset:
         graphs.append(GraphInstance._from_symmetric(
             hi - lo, None if tags is None else tags[lo:hi],
             None if attrs is None else attrs[lo:hi], int(labels[g]),
-            row_ptr[lo:hi + 1] - a, cols[a:b], ones[a:b]))
+            row_ptr[lo:hi + 1] - a, cols[a:b]))
 
     return GraphDataset(
         name=name,

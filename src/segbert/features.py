@@ -145,15 +145,14 @@ def sinusoid_rows(values, d_h: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CsrRows:
-    """Sparse rows ``width`` columns wide, in CSR form.
+    """Sparse 0/1 rows ``width`` columns wide, in CSR form.
 
-    Row i has the values ``weights[indptr[i]:indptr[i + 1]]`` at the
-    columns ``indices[indptr[i]:indptr[i + 1]]``; every other entry is 0.
+    Row i has a 1 at the columns ``indices[indptr[i]:indptr[i + 1]]``;
+    every other entry is 0.
     """
 
     indptr: np.ndarray  # (rows + 1,) int64
     indices: np.ndarray  # (nnz,) int64
-    weights: np.ndarray  # (nnz,) float64
     width: int
 
     @property
@@ -168,13 +167,13 @@ class CsrRows:
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         counts.cumsum(out=indptr[1:])
         src = np.arange(indptr[-1]) + (starts - indptr[:-1]).repeat(counts)
-        return CsrRows(indptr, self.indices[src], self.weights[src], self.width)
+        return CsrRows(indptr, self.indices[src], self.width)
 
     def toarray(self) -> np.ndarray:
         """The dense (rows, width) array."""
         out = np.zeros((self.row_count, self.width))
         rows = np.arange(self.row_count).repeat(np.diff(self.indptr))
-        out[rows, self.indices] = self.weights
+        out[rows, self.indices] = 1.0
         return out
 
     @staticmethod
@@ -185,14 +184,13 @@ class CsrRows:
         nnz = np.cumsum([0] + [len(p.indices) for p in parts])
         indptr = np.concatenate([p.indptr[:-1] + off for p, off in zip(parts, nnz)]
                                 + [nnz[-1:]])
-        return CsrRows(indptr, np.concatenate([p.indices for p in parts]),
-                       np.concatenate([p.weights for p in parts]), parts[0].width)
+        return CsrRows(indptr, np.concatenate([p.indices for p in parts]), parts[0].width)
 
     @cached_property
     def matrix(self) -> sparse.csr_array:
-        """The rows as a scipy CSR array sharing these arrays, built on
-        first use and kept."""
-        return sparse.csr_array((self.weights, self.indices, self.indptr),
+        """The rows as a scipy CSR array of unit data sharing these index
+        arrays, built on first use and kept."""
+        return sparse.csr_array((np.ones(len(self.indices)), self.indices, self.indptr),
                                 shape=(self.row_count, self.width))
 
 
@@ -213,11 +211,11 @@ def _adjacency_rows(g: GraphInstance, n_adj: int) -> CsrRows:
     """The graph's CSR arrays cut to columns below n_adj; the graph's
     own arrays when no arc reaches that far."""
     if g.node_count <= n_adj:
-        return CsrRows(g.indptr, g.indices, g.weights, n_adj)
+        return CsrRows(g.indptr, g.indices, n_adj)
     keep = g.indices < n_adj
     kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
     np.cumsum(keep, out=kept_before[1:])
-    return CsrRows(kept_before[g.indptr], g.indices[keep], g.weights[keep], n_adj)
+    return CsrRows(kept_before[g.indptr], g.indices[keep], n_adj)
 
 
 def build_bundles(g: GraphInstance, n_adj: int,

@@ -69,8 +69,7 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 def toy_graph(attr_dim: int = TOY_ATTR_DIM) -> GraphInstance:
     """Five nodes, a path with two chords, deterministic tags/attrs."""
     pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 3)]
-    arcs = sorted({(i, j, 1.0) for i, j in pairs} | {(j, i, 1.0) for i, j in pairs})
-    g = GraphInstance(node_count=5, edges=list(arcs), label=1)
+    g = GraphInstance(node_count=5, edges=pairs, label=1)
     g.node_tags = [0, 1, 2, 0, 1]
     if attr_dim > 0:
         g.node_attributes = (np.arange(5 * attr_dim, dtype=np.float64)

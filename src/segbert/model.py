@@ -11,7 +11,7 @@ grouped ``mean_rows`` op per batch sums each graph's own rows, so a
 graph's pooled row has the same bits in any batch. It feeds a linear
 softmax classifier. Two auxiliary heads support pre-training: a linear
 reconstruction of the raw rows and a row-pair cosine recovery of the
-connection-weight matrix.
+adjacency matrix.
 
 Attention is executed in blocked form: all segments of a minibatch are
 stacked into one (segments * k) x d_h matrix. One fused
@@ -379,8 +379,7 @@ def _prepare(graphs: list, features: list, plan: UnifyPlan, config: ModelConfig,
         s0, s1 = slot_starts[i], slot_starts[i + 1]
         r0, r1 = real_starts[i], real_starts[i + 1]
         a0, a1 = adj_starts[i], adj_starts[i + 1]
-        adj_rows = CsrRows(adj.indptr[s0:s1 + 1] - a0, adj.indices[a0:a1],
-                           adj.weights[a0:a1], adj.width)
+        adj_rows = CsrRows(adj.indptr[s0:s1 + 1] - a0, adj.indices[a0:a1], adj.width)
         out.append(GraphInputs(
             graph=g, const_rows=const[s0:s1], adj_rows=adj_rows,
             attr_rows=None if attr is None else attr[s0:s1], real_slots=real[r0:r1] - s0,
@@ -530,7 +529,7 @@ def recover_structure(tape: Tape, h_final: Tensor) -> Tensor:
 
 
 def structure_target(gi: GraphInputs) -> np.ndarray:
-    """Connection weights between the kept nodes, in kept-node order,
+    """The 0/1 adjacency matrix of the kept nodes, in kept-node order,
     read from the graph's arcs without its full n x n matrix."""
     g, kept = gi.graph, gi.kept_nodes
     position = np.full(g.node_count, -1, dtype=np.int64)
@@ -538,7 +537,7 @@ def structure_target(gi: GraphInputs) -> np.ndarray:
     rows, cols = position[g.arc_rows()], position[g.indices]
     inside = (rows >= 0) & (cols >= 0)
     out = np.zeros((len(kept), len(kept)))
-    out[rows[inside], cols[inside]] = g.weights[inside]
+    out[rows[inside], cols[inside]] = 1.0
     return out
 
 

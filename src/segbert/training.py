@@ -340,7 +340,7 @@ def pretrain_batch_loss(tape: Tape, params: ModelParams, config: ModelConfig,
 
     Reconstruction: MSE between the decoded rows and the raw channel of
     every real node. Structure: MSE between pairwise cosine similarity
-    and the kept-node weight matrix; graphs with fewer than two real
+    and the kept-node adjacency matrix; graphs with fewer than two real
     nodes contribute no structure term (the matrix is degenerate there).
     Returns None when no graph contributes a term.
     """

@@ -9,19 +9,13 @@ import pytest
 
 from segbert.dataset import GraphDataset, GraphInstance
 
-
-def _sym(pairs):
-    arcs = {}
-    for i, j in pairs:
-        arcs[(i, j)] = 1.0
-        arcs[(j, i)] = 1.0
-    return sorted((i, j, w) for (i, j), w in arcs.items())
+from graph_helpers import arc_list
 
 
 def cycle_graph(n: int, label: int = 0) -> GraphInstance:
     return GraphInstance(
         node_count=n,
-        edges=_sym([(i, (i + 1) % n) for i in range(n)]),
+        edges=[(i, (i + 1) % n) for i in range(n)],
         label=label,
     )
 
@@ -29,7 +23,7 @@ def cycle_graph(n: int, label: int = 0) -> GraphInstance:
 def star_graph(n: int, label: int = 1) -> GraphInstance:
     return GraphInstance(
         node_count=n,
-        edges=_sym([(0, i) for i in range(1, n)]),
+        edges=[(0, i) for i in range(1, n)],
         label=label,
     )
 
@@ -37,7 +31,7 @@ def star_graph(n: int, label: int = 1) -> GraphInstance:
 def path_graph(n: int, label: int = 0) -> GraphInstance:
     return GraphInstance(
         node_count=n,
-        edges=_sym([(i, i + 1) for i in range(n - 1)]),
+        edges=[(i, i + 1) for i in range(n - 1)],
         label=label,
     )
 
@@ -50,7 +44,7 @@ def random_graph(rng, lo=3, hi=10, p=0.4, label=0) -> GraphInstance:
         for j in range(i + 2, n):
             if rng.random() < p:
                 pairs.append((i, j))
-    return GraphInstance(node_count=n, edges=_sym(pairs), label=label)
+    return GraphInstance(node_count=n, edges=pairs, label=label)
 
 
 def attach_tags(g: GraphInstance, vocab: int = 3) -> GraphInstance:
@@ -60,7 +54,7 @@ def attach_tags(g: GraphInstance, vocab: int = 3) -> GraphInstance:
 
 def attach_attrs(g: GraphInstance) -> GraphInstance:
     degs = np.zeros(g.node_count)
-    for i, j, _ in g.edges:
+    for i, j in arc_list(g):
         if i != j:
             degs[i] += 0.5  # each undirected edge contributes two arcs
     g.node_attributes = np.stack(

@@ -20,11 +20,16 @@ def positional_embedding(value: float, d_h: int) -> np.ndarray:
     return sinusoid_rows(np.array([float(value)]), d_h)[0]
 
 
-def weight_matrix(g: GraphInstance) -> np.ndarray:
-    """Dense node_count x node_count connection-weight matrix."""
+def adjacency_matrix(g: GraphInstance) -> np.ndarray:
+    """Dense node_count x node_count 0/1 adjacency matrix."""
     w = np.zeros((g.node_count, g.node_count))
-    w[g.arc_rows(), g.indices] = g.weights
+    w[g.arc_rows(), g.indices] = 1.0
     return w
+
+
+def arc_list(g: GraphInstance) -> list:
+    """The stored arcs as (i, j) pairs, read from the CSR arrays."""
+    return list(zip(g.arc_rows().tolist(), g.indices.tolist()))
 
 
 def neighbor_sets(g: GraphInstance) -> list[set]:

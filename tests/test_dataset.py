@@ -21,8 +21,8 @@ from segbert.dataset import (
 )
 
 from conftest import synth_dataset
-from graph_helpers import (neighbor_sets, recorded_sorts, undirected_edge_count,
-                           weight_matrix)
+from graph_helpers import (adjacency_matrix, arc_list, neighbor_sets, recorded_sorts,
+                           undirected_edge_count)
 
 
 def write_files(tmp_path, name="TOY", a=None, indicator=None, labels=None,
@@ -66,15 +66,14 @@ def test_loader_against_handwritten_files(tmp_path):
 
     tri = ds.graphs[0]
     assert tri.node_count == 3
-    assert tri.edges.tolist() == [(0, 1, 1.0), (0, 2, 1.0), (1, 0, 1.0),
-                         (1, 2, 1.0), (2, 0, 1.0), (2, 1, 1.0)]
+    assert arc_list(tri) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
     assert tri.node_tags == [0, 0, 1]  # 7 -> 0, 9 -> 1
     assert np.allclose(tri.node_attributes,
                        [[0.5, 1.0], [0.25, 2.0], [0.125, 3.0]])
 
     pair = ds.graphs[1]
     assert pair.node_count == 2
-    assert pair.edges.tolist() == [(0, 1, 1.0), (1, 0, 1.0)]
+    assert arc_list(pair) == [(0, 1), (1, 0)]
     assert pair.node_tags == [1, 0]
     assert ds.tag_vocab_size == 2
     assert ds.attr_dim == 2
@@ -83,7 +82,7 @@ def test_loader_against_handwritten_files(tmp_path):
 def test_loader_completes_one_directional_arcs(tmp_path):
     d = write_files(tmp_path, a=["1, 2"], indicator=["1", "1"], labels=["0"])
     ds = load_tu_dataset(d, "TOY")
-    assert ds.graphs[0].edges.tolist() == [(0, 1, 1.0), (1, 0, 1.0)]
+    assert arc_list(ds.graphs[0]) == [(0, 1), (1, 0)]
 
 
 def test_duplicate_edge_collapses_with_warning(tmp_path):
@@ -91,7 +90,7 @@ def test_duplicate_edge_collapses_with_warning(tmp_path):
                     indicator=["1", "1"], labels=["0"])
     with pytest.warns(UserWarning, match="duplicate edge"):
         ds = load_tu_dataset(d, "TOY")
-    assert ds.graphs[0].edges.tolist() == [(0, 1, 1.0), (1, 0, 1.0)]
+    assert arc_list(ds.graphs[0]) == [(0, 1), (1, 0)]
 
 
 def test_missing_file_error_names_path(tmp_path):
@@ -156,7 +155,7 @@ def test_round_trip_write_then_load(tmp_path):
     assert abs(back.avg_nodes - ds.avg_nodes) < 1e-12
     for a, b in zip(ds.graphs, back.graphs):
         assert a.node_count == b.node_count
-        assert a.edges.tolist() == b.edges.tolist()
+        assert arc_list(a) == arc_list(b)
         assert a.label == b.label
         assert a.node_tags == b.node_tags
         assert np.array_equal(a.node_attributes, b.node_attributes)
@@ -169,8 +168,8 @@ def test_round_trip_handwritten(tmp_path):
     back = load_tu_dataset(str(tmp_path / "dst"), "TOY")
     assert back.label_map == ds.label_map
     for a, b in zip(ds.graphs, back.graphs):
-        assert ((a.node_count, a.edges.tolist(), a.label)
-                == (b.node_count, b.edges.tolist(), b.label))
+        assert ((a.node_count, arc_list(a), a.label)
+                == (b.node_count, arc_list(b), b.label))
 
 
 @pytest.mark.parametrize("field, what", [("node_tags", "tags"),
@@ -189,12 +188,12 @@ def test_write_rejects_a_set_where_only_some_graphs_have_node_rows(tmp_path, fie
 def test_weight_matrix():
     ds = synth_dataset(count=10, seed=1)
     g = ds.graphs[0]
-    w = weight_matrix(g)
+    w = adjacency_matrix(g)
     assert w.shape == (g.node_count, g.node_count)
     assert np.array_equal(w, w.T)
-    for i, j, wt in g.edges:
-        assert w[i, j] == wt
-    assert w.sum() == len(g.edges)
+    for i, j in arc_list(g):
+        assert w[i, j] == 1.0
+    assert w.sum() == len(g.indices)
 
 
 # ----------------------------------------------------------------------
@@ -270,11 +269,11 @@ def write_raw(tmp_path, a, indicator="1\n1\n2\n2\n", labels="0\n1\n",
 
 
 def graph_view(ds):
-    return [(g.node_count, g.edges.tolist(), g.label, g.node_tags) for g in ds.graphs]
+    return [(g.node_count, arc_list(g), g.label, g.node_tags) for g in ds.graphs]
 
 
-TWO_EDGES = [(2, [(0, 1, 1.0), (1, 0, 1.0)], 0, None),
-             (2, [(0, 1, 1.0), (1, 0, 1.0)], 1, None)]
+TWO_EDGES = [(2, [(0, 1), (1, 0)], 0, None),
+             (2, [(0, 1), (1, 0)], 1, None)]
 
 
 @pytest.mark.parametrize("a", [
@@ -363,7 +362,7 @@ def test_loader_attributes_with_whitespace_lines_load(tmp_path):
 def test_loader_set_without_arcs(tmp_path, a):
     d, _ = write_raw(tmp_path, a)
     ds = load_tu_dataset(d, "RAW")
-    assert [(g.node_count, g.edges.tolist(), g.label) for g in ds.graphs] == [
+    assert [(g.node_count, arc_list(g), g.label) for g in ds.graphs] == [
         (2, [], 0), (2, [], 1)]
     assert [g.indptr.tolist() for g in ds.graphs] == [[0, 0, 0], [0, 0, 0]]
 
@@ -463,8 +462,8 @@ def test_loader_interleaved_indicator(tmp_path):
                      node_labels="10\n20\n30\n40\n50\n")
     ds = load_tu_dataset(d, "RAW")
     assert graph_view(ds) == [
-        (2, [(0, 1, 1.0), (1, 0, 1.0)], 0, [0, 2]),
-        (3, [(0, 1, 1.0), (0, 2, 1.0), (1, 0, 1.0), (2, 0, 1.0)], 1, [1, 3, 4]),
+        (2, [(0, 1), (1, 0)], 0, [0, 2]),
+        (3, [(0, 1), (0, 2), (1, 0), (2, 0)], 1, [1, 3, 4]),
     ]
 
 
@@ -480,38 +479,36 @@ def test_duplicate_edges_warn_once_per_duplicate_line(tmp_path):
 
 
 def test_weight_matrix_and_helpers_from_csr():
-    g = GraphInstance(node_count=3, edges=[(0, 0, 1.0), (0, 2, 2.5), (2, 0, 2.5)])
+    g = GraphInstance(node_count=3, edges=[(0, 0), (0, 2), (2, 0)])
     assert g.indptr.tolist() == [0, 2, 2, 3]
     assert g.indices.tolist() == [0, 2, 0]
-    assert np.array_equal(weight_matrix(g), [[1.0, 0.0, 2.5], [0.0, 0.0, 0.0],
-                                             [2.5, 0.0, 0.0]])
+    assert np.array_equal(adjacency_matrix(g), [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0],
+                                                [1.0, 0.0, 0.0]])
     assert neighbor_sets(g) == [{0, 2}, set(), {0}]
     assert undirected_edge_count(g) == 2
-    back = GraphInstance(node_count=3, indptr=g.indptr, indices=g.indices,
-                         weights=g.weights)
-    assert back.edges.tolist() == [(0, 0, 1.0), (0, 2, 2.5), (2, 0, 2.5)]
+    back = GraphInstance(node_count=3, indptr=g.indptr, indices=g.indices)
+    assert arc_list(back) == [(0, 0), (0, 2), (2, 0)]
 
 
 @pytest.mark.parametrize("node_count, bad, message", [
-    (3, [(1, 5, 1.0), (5, 1, 1.0)], "arc (1, 5) has an end outside 0..2"),
-    (3, [(-1, 1, 1.0)], "arc (-1, 1) has an end outside 0..2"),
-    (3, [(3, 0, 1.0)], "arc (3, 0) has an end outside 0..2"),
+    (3, [(1, 5), (5, 1)], "arc (1, 5) has an end outside 0..2"),
+    (3, [(-1, 1)], "arc (-1, 1) has an end outside 0..2"),
+    (3, [(3, 0)], "arc (3, 0) has an end outside 0..2"),
     (-1, [], "node_count must be non-negative, got -1"),
 ], ids=["target-past-end", "negative-source", "source-at-node-count", "negative-node-count"])
 def test_arc_list_rejects_an_end_outside_the_graph(node_count, bad, message):
     # loaded, these arcs would index another graph's nodes in a dataset-wide
     # array, or count in the wrong row of indptr
     with pytest.raises(ValueError) as err:
-        GraphInstance(node_count=node_count, edges=[(0, 1, 1.0), (1, 0, 1.0)] + bad)
+        GraphInstance(node_count=node_count, edges=[(0, 1), (1, 0)] + bad)
     assert str(err.value) == message
 
 
 def test_edges_are_the_stored_arcs(tmp_path):
-    # unsorted input with a repeated arc: the last weight wins
-    g = GraphInstance(node_count=3, edges=[(1, 0, 1.0), (0, 1, 1.0), (0, 1, 2.0)])
-    assert g.edges.tolist() == [(0, 1, 2.0), (1, 0, 1.0)]
-    assert g.edges.tolist() == list(zip(g.arc_rows().tolist(), g.indices.tolist(),
-                                        g.weights.tolist()))
+    # unsorted input with a repeated arc: stored once
+    g = GraphInstance(node_count=3, edges=[(1, 0), (0, 1), (0, 1, 1.0)])
+    assert g.edges.tolist() == [[0, 1], [1, 0]]
+    assert g.edges.tolist() == [list(arc) for arc in arc_list(g)]
     ds = GraphDataset(name="TOY", graphs=[g, GraphInstance(node_count=1, label=1)],
                       class_count=2, attr_dim=0, tag_vocab_size=0, max_nodes=3,
                       avg_nodes=2.0)
@@ -519,23 +516,22 @@ def test_edges_are_the_stored_arcs(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a duplicate arc line would warn
         back = load_tu_dataset(str(tmp_path), "TOY")
-    assert back.graphs[0].edges.tolist() == [(0, 1, 1.0), (1, 0, 1.0)]
+    assert arc_list(back.graphs[0]) == [(0, 1), (1, 0)]
 
 
 def test_edges_is_an_array_of_the_csr_fields(tmp_path):
-    """``edges`` is a structured array read field by field from the CSR
-    arrays, also for a graph without arcs."""
+    """``edges`` is an (arcs, 2) int64 array read column by column from
+    the CSR arrays, also for a graph without arcs."""
     d = write_files(tmp_path, a=["1, 2", "2, 3", "1, 3", "5, 5"],
                     indicator=["1", "1", "1", "2", "3"], labels=["0", "1", "0"])
     ds = load_tu_dataset(d, "TOY")
     assert [len(g.indices) for g in ds.graphs] == [6, 0, 1]
     for g in ds.graphs:
         arcs = g.edges
-        assert arcs.dtype.names == ("i", "j", "weight")
-        assert len(arcs) == len(g.indices)
-        assert np.array_equal(arcs["i"], g.arc_rows())
-        assert np.array_equal(arcs["j"], g.indices)
-        assert np.array_equal(arcs["weight"], g.weights)
+        assert arcs.dtype == np.int64
+        assert arcs.shape == (len(g.indices), 2)
+        assert np.array_equal(arcs[:, 0], g.arc_rows())
+        assert np.array_equal(arcs[:, 1], g.indices)
 
 
 # what the writer made of WRITER_SET before it wrote arcs from the CSR
@@ -556,13 +552,12 @@ def writer_set():
     graphs = [
         GraphInstance(node_count=3, label=1, node_tags=[0, 2, 2],
                       node_attributes=np.array([[0.5, -1.25], [1e-07, 3.0], [0.1, 2.0]]),
-                      edges=[(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)]),
+                      edges=[(0, 0), (0, 1), (1, 0), (1, 2), (2, 1)]),
         GraphInstance(node_count=2, label=0, node_tags=[1, 0],
                       node_attributes=np.array([[-3.5, 0.0], [1.0, 123456.789]])),
         GraphInstance(node_count=4, label=1, node_tags=[1, 1, 0, 2],
                       node_attributes=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]),
-                      edges=[(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0),
-                             (2, 3, 1.0), (3, 2, 1.0), (3, 0, 1.0), (0, 3, 1.0)]),
+                      edges=[(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0), (0, 3)]),
     ]
     return GraphDataset(name="TOY", graphs=graphs, class_count=2, attr_dim=2,
                         tag_vocab_size=3, max_nodes=4, avg_nodes=3.0,
@@ -575,46 +570,39 @@ def test_writer_output_is_pinned_byte_for_byte(tmp_path):
         name: text.encode() for name, text in WRITTEN.items()}
 
 
-@pytest.mark.parametrize("node_count, indptr, indices, weights, message", [
-    (3, [0, 1, 2], [1, 0], None, "indptr has 3 entries for 3 nodes, expected 4"),
-    (3, [0, 2, 1], [1, 0], None, "indptr has 3 entries for 3 nodes, expected 4"),
-    (3, [1, 1, 2, 3], [1, 0], None, "indptr starts at 1, expected 0"),
-    (2, [0, 2, 1], [1, 0], None, "indptr decreases"),
-    (3, [0, 1, 2, 3], [1, 0], None, "indptr ends at 3 but indices has 2 entries"),
-    (3, [0, 1, 2, 3], [1, 0, 1], [1.0, 1.0], "indptr ends at 3 but weights has 2 entries"),
-    (3, [0, 1, 2, 3], [1, 0, 5], None, "index 5 lies outside 0..2"),
-    (3, [0, 1, 2, 3], [1, -1, 0], None, "index -1 lies outside 0..2"),
-    (-1, [0], [], None, "node_count must be non-negative, got -1"),
-    # the storage GraphInstance promises: sorted rows, every arc both ways
-    # with one weight. The first two loaded with degrees [2, 0, 0] and an
-    # unsorted edges array before the constructor checked them.
-    (3, [0, 2, 2, 2], [2, 1], None, "row 0's columns do not strictly increase: 2 then 1"),
-    (3, [0, 2, 3, 4], [2, 1, 0, 0], None,
-     "row 0's columns do not strictly increase: 2 then 1"),
-    (3, [0, 2, 3, 4], [1, 1, 0, 0], None,
-     "row 0's columns do not strictly increase: 1 then 1"),
-    (3, [0, 1, 2, 3], [1, 0, 0], None, "arc (2, 0) has no reverse arc (0, 2)"),
-    (3, [0, 1, 3, 4], [1, 0, 2, 0], None, "arc (1, 2) has no reverse arc (2, 1)"),
-    (2, [0, 1, 2], [1, 0], [1.0, 2.0], "arc (0, 1) has weight 1.0 but its reverse has weight 2.0"),
+@pytest.mark.parametrize("node_count, indptr, indices, message", [
+    (3, [0, 1, 2], [1, 0], "indptr has 3 entries for 3 nodes, expected 4"),
+    (3, [0, 2, 1], [1, 0], "indptr has 3 entries for 3 nodes, expected 4"),
+    (3, [1, 1, 2, 3], [1, 0], "indptr starts at 1, expected 0"),
+    (2, [0, 2, 1], [1, 0], "indptr decreases"),
+    (3, [0, 1, 2, 3], [1, 0], "indptr ends at 3 but indices has 2 entries"),
+    (3, [0, 1, 2, 3], [1, 0, 5], "index 5 lies outside 0..2"),
+    (3, [0, 1, 2, 3], [1, -1, 0], "index -1 lies outside 0..2"),
+    (-1, [0], [], "node_count must be non-negative, got -1"),
+    # the storage GraphInstance promises: sorted rows, every arc both
+    # ways. The first two loaded with degrees [2, 0, 0] and an unsorted
+    # edges array before the constructor checked them.
+    (3, [0, 2, 2, 2], [2, 1], "row 0's columns do not strictly increase: 2 then 1"),
+    (3, [0, 2, 3, 4], [2, 1, 0, 0], "row 0's columns do not strictly increase: 2 then 1"),
+    (3, [0, 2, 3, 4], [1, 1, 0, 0], "row 0's columns do not strictly increase: 1 then 1"),
+    (3, [0, 1, 2, 3], [1, 0, 0], "arc (2, 0) has no reverse arc (0, 2)"),
+    (3, [0, 1, 3, 4], [1, 0, 2, 0], "arc (1, 2) has no reverse arc (2, 1)"),
 ], ids=["short-indptr", "short-decreasing-indptr", "indptr-start", "indptr-decreases",
-        "indptr-end-indices", "indptr-end-weights", "index-past-end", "negative-index",
+        "indptr-end-indices", "index-past-end", "negative-index",
         "negative-node-count", "unsorted-row-one-way", "unsorted-row", "repeated-column",
-        "missing-reverse-last", "missing-reverse-middle", "reverse-weight-differs"])
-def test_csr_constructor_rejects_the_first_fault(node_count, indptr, indices, weights, message):
+        "missing-reverse-last", "missing-reverse-middle"])
+def test_csr_constructor_rejects_the_first_fault(node_count, indptr, indices, message):
     with pytest.raises(ValueError) as err:
         GraphInstance(node_count=node_count, indptr=np.array(indptr),
-                      indices=np.array(indices, dtype=np.int64),
-                      weights=None if weights is None else np.array(weights))
+                      indices=np.array(indices, dtype=np.int64))
     assert str(err.value) == message
 
 
 def test_csr_constructor_keeps_symmetric_sorted_arrays():
     # a self-loop is its own reverse; the empty graph has no arcs to check
     g = GraphInstance(node_count=3, indptr=np.array([0, 2, 3, 5]),
-                      indices=np.array([0, 2, 2, 0, 1]),
-                      weights=np.array([0.5, 2.0, 1.0, 2.0, 1.0]))
-    assert g.edges.tolist() == [(0, 0, 0.5), (0, 2, 2.0), (1, 2, 1.0), (2, 0, 2.0),
-                                (2, 1, 1.0)]
+                      indices=np.array([0, 2, 2, 0, 1]))
+    assert arc_list(g) == [(0, 0), (0, 2), (1, 2), (2, 0), (2, 1)]
     assert GraphInstance(node_count=0, indptr=np.array([0]),
                          indices=np.array([], dtype=np.int64)).node_count == 0
 
@@ -625,11 +613,72 @@ def test_csr_constructor_keeps_symmetric_sorted_arrays():
     (dict(node_attributes=np.zeros((2, 4))), "node_attributes has 2 rows for 3 nodes"),
 ], ids=["one-tag", "extra-tag", "attribute-rows"])
 def test_constructor_rejects_rows_that_are_not_one_per_node(rows, message):
-    for arcs in (dict(edges=[(0, 1, 1.0), (1, 0, 1.0)]),
+    for arcs in (dict(edges=[(0, 1), (1, 0)]),
                  dict(indptr=np.array([0, 1, 2, 2]), indices=np.array([1, 0]))):
         with pytest.raises(ValueError) as err:
             GraphInstance(node_count=3, **arcs, **rows)
         assert str(err.value) == message
+
+
+def test_csr_constructor_turns_integer_lists_into_int64_arrays():
+    """Lists used to fail in the checks with "'bool' object has no
+    attribute 'any'"."""
+    for indptr, indices in (([0, 1, 2, 2], [1, 0]),
+                            (np.array([0, 1, 2, 2], dtype=np.int32), (1, 0))):
+        g = GraphInstance(3, indptr=indptr, indices=indices)
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        assert (g.indptr.tolist(), g.indices.tolist()) == ([0, 1, 2, 2], [1, 0])
+    empty = GraphInstance(2, indptr=[0, 0, 0], indices=[])
+    assert empty.indices.dtype == np.int64 and len(empty.indices) == 0
+
+
+@pytest.mark.parametrize("indptr, indices, message", [
+    ([0, 1, 2, 2.0], [1, 0], "indptr holds float64 values, not integers"),
+    ([0, 1, 2, 2], np.array([1.0, 0.0]), "indices holds float64 values, not integers"),
+    ([0, 1, 2, 2], [True, False], "indices holds bool values, not integers"),
+], ids=["float-indptr", "float-indices", "bool-indices"])
+def test_csr_constructor_rejects_arrays_that_are_not_integers(indptr, indices, message):
+    with pytest.raises(ValueError) as err:
+        GraphInstance(3, indptr=indptr, indices=indices)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("edges", [
+    [(1, 0), (2, 1)],
+    [(1, 0, 1.0), (2, 1, 1.0)],
+    [[0, 1], (1, 2), (2, 1, 1.0), (0, 1)],
+    np.array([[1, 0], [2, 1]]),
+    np.array([[1, 0], [1, 2]], dtype=np.int32),
+    ((np.int64(0), np.int64(1)), (1, 2)),
+], ids=["pairs", "unit-triples", "mixed-with-repeat", "int64-array", "int32-array",
+        "numpy-ints"])
+def test_arc_list_accepts_pairs_unit_triples_and_integer_arrays(edges):
+    """An (arcs, 2) array used to fail on ``edges or []`` with "truth
+    value of an array ... is ambiguous"."""
+    g = GraphInstance(3, edges=edges)
+    assert (g.indptr.tolist(), g.indices.tolist()) == ([0, 1, 3, 4], [1, 0, 2, 1])
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+    for nothing in (None, [], np.empty((0, 2), dtype=np.int64)):
+        g = GraphInstance(3, edges=nothing)
+        assert (g.indptr.tolist(), g.indices.tolist()) == ([0, 0, 0, 0], [])
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1.5, 1.0)], "arc (0, 1.5) has an end that is not an integer"),
+    ([(1.5, 0, 1.0), (0, 1, 1.0)], "arc (1.5, 0) has an end that is not an integer"),
+    ([(0, 1), ("2", 1)], "arc (2, 1) has an end that is not an integer"),
+    ([(True, 1)], "arc (True, 1) has an end that is not an integer"),
+    (np.array([[0.0, 1.0]]), "arc (0.0, 1.0) has an end that is not an integer"),
+    ([(0, 1), (1, 2, 2.5)], "arc (1, 2) has extra entries [2.5]; only 1.0 may follow"),
+    ([(0, 1, 1.0, 1.0)], "arc (0, 1) has extra entries [1.0, 1.0]; only 1.0 may follow"),
+], ids=["float-target", "float-source", "string-end", "bool-end", "float-array", "weight",
+        "fourth-entry"])
+def test_arc_list_rejects_an_arc_that_is_not_an_integer_pair(edges, message):
+    """The first case used to store the arc 0 -> 1, the second to raise a
+    bare TypeError, the weight to be kept."""
+    with pytest.raises(ValueError) as err:
+        GraphInstance(3, edges=edges)
+    assert str(err.value) == message
 
 
 # ----------------------------------------------------------------------
@@ -638,7 +687,9 @@ def test_constructor_rejects_rows_that_are_not_one_per_node(rows, message):
 
 def reference_load(indicator, lines, path):
     """Per-graph GraphInstance of the arcs each line lists, both ways,
-    and the duplicate warnings, from plain Python over the file."""
+    and the duplicate warnings, from plain Python over the file. The CSR
+    arrays are built here too and go through the CSR constructor, so the
+    loader's key path is not shared with the arc-list constructor's."""
     members = {}
     for node, graph in enumerate(indicator):
         members.setdefault(graph, []).append(node)
@@ -650,9 +701,16 @@ def reference_load(indicator, lines, path):
             warned.append(f"{path}:{n}: duplicate edge ({a + 1}, {b + 1})")
         seen.add((a, b))
         arcs[indicator[a]] |= {(local[a], local[b]), (local[b], local[a])}
-    graphs = [GraphInstance(node_count=len(members[g]),
-                            edges=[(i, j, 1.0) for i, j in arcs[g]])
-              for g in sorted(members)]
+    graphs = []
+    for g in sorted(members):
+        rows = [[] for _ in members[g]]
+        for i, j in sorted(arcs[g]):
+            rows[i].append(j)
+        indptr = [0]
+        for row in rows:
+            indptr.append(indptr[-1] + len(row))
+        graphs.append(GraphInstance(node_count=len(rows), indptr=indptr,
+                                    indices=[j for row in rows for j in row]))
     return graphs, warned
 
 
@@ -666,7 +724,7 @@ def load_with_warnings(directory, name):
 def assert_same_csr(got, want):
     for g, ref in zip(got, want, strict=True):
         assert g.node_count == ref.node_count
-        for field in ("indptr", "indices", "weights"):
+        for field in ("indptr", "indices"):
             a, b = getattr(g, field), getattr(ref, field)
             assert a.dtype == b.dtype and np.array_equal(a, b), field
 
@@ -706,6 +764,50 @@ def test_loader_arrays_and_warnings_equal_the_arc_list_reference(files):
         want, want_warned = reference_load(indicator, lines, path)
     assert_same_csr(ds.graphs, want)
     assert warned == want_warned
+
+
+@st.composite
+def arc_lists(draw):
+    """(node count 0-8, arcs as pairs): in any order, some one way only,
+    some repeated, self-loops, and nodes that no arc touches."""
+    n = draw(st.integers(0, 8))
+    if n == 0:
+        return 0, []
+    ends = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(ends, ends), max_size=12))
+    for i, j, both in draw(st.lists(st.tuples(ends, ends, st.booleans()), max_size=6)):
+        arcs += [(i, j), (j, i)] if both else [(i, i)]
+    if arcs:
+        arcs += draw(st.lists(st.sampled_from(arcs), max_size=4))
+    return n, draw(st.permutations(arcs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(arc_lists(), st.sampled_from(["pairs", "unit-triples", "array"]))
+def test_arc_list_is_stored_as_the_sorted_set_of_both_directions(case, form):
+    """The arc-list constructor keeps the promise of symmetric, sorted
+    storage: its arrays equal the sorted set of both directions, pass
+    through the CSR constructor unchanged, and survive a write and load
+    without a duplicate warning (a graph of 0 nodes has no TU form)."""
+    n, arcs = case
+    edges = {"pairs": arcs, "unit-triples": [(i, j, 1.0) for i, j in arcs],
+             "array": np.array(arcs, dtype=np.int64).reshape(-1, 2)}[form]
+    g = GraphInstance(n, edges=edges)
+    want = sorted({(i, j) for i, j in arcs} | {(j, i) for i, j in arcs})
+    assert arc_list(g) == want
+    assert g.indptr.tolist() == [sum(1 for i, _ in want if i < r) for r in range(n + 1)]
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+    back = GraphInstance(n, indptr=g.indptr, indices=g.indices)
+    assert_same_csr([back], [g])
+    if n == 0:
+        return
+    ds = GraphDataset(name="RND", graphs=[g], class_count=1, attr_dim=0, tag_vocab_size=0,
+                      max_nodes=n, avg_nodes=float(n))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_tu_dataset(ds, tmp)
+        loaded, warned = load_with_warnings(tmp, "RND")
+    assert_same_csr(loaded.graphs, [g])
+    assert warned == []
 
 
 def test_loader_keys_past_int32_on_a_long_path(tmp_path, monkeypatch):

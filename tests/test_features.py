@@ -15,7 +15,7 @@ from segbert.features import (
 
 from conftest import (attach_attrs, attach_tags, cycle_graph, path_graph, random_graph,
                       star_graph, synth_dataset)
-from graph_helpers import positional_embedding, recorded_sorts, undirected_edge_count
+from graph_helpers import arc_list, positional_embedding, recorded_sorts, undirected_edge_count
 from wl_oracle import brute_force_wl, partition_of
 
 
@@ -40,7 +40,7 @@ def test_degree_path():
 
 def test_degree_self_loop_counts_once():
     g = GraphInstance(node_count=2,
-                      edges=[(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0)])
+                      edges=[(0, 0), (0, 1), (1, 0)])
     assert compute_degrees(g).tolist() == [2, 1]
 
 
@@ -94,7 +94,7 @@ def test_wl_permutation_consistency():
     for _ in range(20):
         g = random_graph(rng)
         perm = rng.permutation(g.node_count)
-        edges = sorted((int(perm[i]), int(perm[j]), w) for i, j, w in g.edges)
+        edges = sorted((int(perm[i]), int(perm[j])) for i, j in arc_list(g))
         gp = GraphInstance(node_count=g.node_count, edges=edges)
         codes = dataset_wl_codes([g, gp], iterations=2)
         for i in range(g.node_count):
@@ -155,8 +155,8 @@ def _mixed_wl_set():
     # on their own, regular graphs stabilise after one round, paths and stars later
     graphs += [cycle_graph(6), path_graph(7), star_graph(5), attach_tags(cycle_graph(4))]
     graphs.append(GraphInstance(node_count=3, edges=[
-        (0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)]))  # self-loop
-    graphs.append(GraphInstance(node_count=5, edges=[(0, 1, 1.0), (1, 0, 1.0)]))  # isolated
+        (0, 0), (0, 1), (1, 0), (1, 2), (2, 1)]))  # self-loop
+    graphs.append(GraphInstance(node_count=5, edges=[(0, 1), (1, 0)]))  # isolated
     graphs.append(GraphInstance(node_count=3, edges=[]))  # edgeless
     graphs.append(attach_tags(GraphInstance(node_count=2, edges=[])))
     return graphs
@@ -177,7 +177,7 @@ def _disjoint_union(graphs):
     """One untagged GraphInstance holding ``graphs`` side by side, in order."""
     edges, offset = [], 0
     for g in graphs:
-        edges += [(i + offset, j + offset, w) for i, j, w in g.edges]
+        edges += [(i + offset, j + offset) for i, j in arc_list(g)]
         offset += g.node_count
     return GraphInstance(node_count=offset, edges=edges)
 

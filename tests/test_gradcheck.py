@@ -13,6 +13,8 @@ from segbert.model import ModelConfig, build_batch, classify_batch, init_params,
 from segbert.training import PRETRAIN_TASKS, pretrain_batch_loss
 from segbert.unify import Strategy, UnifyPlan
 
+from graph_helpers import arc_list
+
 
 def small_kwargs(**overrides):
     base = dict(hidden_dim=8, head_count=2, layer_count=1, intermediate_dim=6)
@@ -41,7 +43,7 @@ def test_relative_error_floors_denominator():
 def test_toy_graph_is_fixed():
     g = toy_graph()
     assert g.node_count == 5
-    arcs = {(i, j) for i, j, _ in g.edges}
+    arcs = set(arc_list(g))
     assert all((j, i) in arcs for i, j in arcs)
     assert g.node_tags == [0, 1, 2, 0, 1]
     assert g.node_attributes.shape == (5, 3)
@@ -172,9 +174,8 @@ def segmented_batch(residual_mode):
     """The toy graph (2 segments, 1 dummy slot) and a 7-node graph with
     attributes (3 segments, 2 dummy slots), segment-shifted at k=3 and
     stacked into one batch."""
-    ring = GraphInstance(node_count=7, label=0, edges=sorted(
-        {(i, j, 1.0) for a, b in [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)]
-         for i, j in ((a, b), (b, a))}))
+    ring = GraphInstance(node_count=7, label=0,
+                         edges=[(i, (i + 1) % 7) for i in range(7)] + [(0, 3)])
     ring.node_tags = [i % 3 for i in range(7)]
     ring.node_attributes = np.linspace(-1.0, 1.0, 21).reshape(7, 3)
     cfg = ModelConfig(hidden_dim=4, head_count=2, layer_count=2, intermediate_dim=4,

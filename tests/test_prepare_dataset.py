@@ -63,7 +63,7 @@ def assert_same_inputs(got: GraphInputs, want: GraphInputs):
     assert got.label == want.label
     for name in ("const_rows", "real_slots", "kept_nodes"):
         assert_same_array(getattr(got, name), getattr(want, name), name)
-    for name in ("indptr", "indices", "weights"):
+    for name in ("indptr", "indices"):
         assert_same_array(getattr(got.adj_rows, name), getattr(want.adj_rows, name),
                           f"adj_rows.{name}")
     assert got.adj_rows.width == want.adj_rows.width
@@ -73,17 +73,14 @@ def assert_same_inputs(got: GraphInputs, want: GraphInputs):
 
 
 def random_graph(rng, n: int, label: int) -> GraphInstance:
-    """Random symmetric weights; some graphs get self-loops or isolated nodes."""
-    arcs = {}
+    """Random arcs; some graphs get self-loops or isolated nodes."""
+    arcs = []
     p = rng.uniform(0.05, 0.6)
     for i in range(n):
         if rng.random() < 0.1:
-            arcs[(i, i)] = float(rng.uniform(0.5, 2.0))
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                arcs[(i, j)] = arcs[(j, i)] = float(rng.uniform(0.5, 2.0))
-    return GraphInstance(node_count=n, edges=sorted((i, j, w) for (i, j), w in arcs.items()),
-                         label=label)
+            arcs.append((i, i))
+        arcs += [(i, j) for j in range(i + 1, n) if rng.random() < p]
+    return GraphInstance(node_count=n, edges=arcs, label=label)
 
 
 def random_dataset(seed: int, tags: str, attrs: bool, count: int = 14) -> GraphDataset:

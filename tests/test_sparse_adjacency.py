@@ -24,25 +24,20 @@ from segbert.model import (
 from segbert.unify import Strategy, UnifyPlan, resolve_plan
 
 from conftest import path_graph
-from graph_helpers import weight_matrix
+from graph_helpers import adjacency_matrix
 
 
-def weighted_graph(rng, n: int, p: float = 0.35, label: int = 0) -> GraphInstance:
-    """Random symmetric weights, plus a self-loop on node 0."""
-    arcs = {(0, 0): 0.5}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                arcs[(i, j)] = arcs[(j, i)] = float(rng.uniform(0.5, 2.0))
-    return GraphInstance(node_count=n, edges=sorted((i, j, w) for (i, j), w in arcs.items()),
-                         label=label)
+def looped_graph(rng, n: int, p: float = 0.35, label: int = 0) -> GraphInstance:
+    """Random arcs, plus a self-loop on node 0."""
+    arcs = [(0, 0)] + [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return GraphInstance(node_count=n, edges=arcs, label=label)
 
 
 def dense_slot_rows(g: GraphInstance, n_adj: int, slot_node: np.ndarray) -> np.ndarray:
     """The dense per-slot adjacency rows: truncated, gathered, dummies zero."""
     full = np.zeros((g.node_count, n_adj))
     keep = g.indices < n_adj
-    full[g.arc_rows()[keep], g.indices[keep]] = g.weights[keep]
+    full[g.arc_rows()[keep], g.indices[keep]] = 1.0
     out = full[slot_node]
     out[slot_node < 0] = 0.0
     return out
@@ -69,7 +64,7 @@ CASES = [
 @pytest.mark.parametrize("permuted", [False, True])
 def test_prepared_csr_rows_equal_dense_gather(strategy, k, n_adj, n, permuted):
     rng = np.random.default_rng(n * 10 + k)
-    g = weighted_graph(rng, n)
+    g = looped_graph(rng, n)
     cfg = ModelConfig(hidden_dim=4, head_count=2, intermediate_dim=4,
                       n_adj=n_adj, segment_k=k)
     order = rng.permutation(n) if permuted else None
@@ -82,17 +77,17 @@ def test_prepared_csr_rows_equal_dense_gather(strategy, k, n_adj, n, permuted):
 
 
 def test_truncated_features_keep_only_columns_below_n_adj():
-    g = weighted_graph(np.random.default_rng(3), 10, p=0.6)
+    g = looped_graph(np.random.default_rng(3), 10, p=0.6)
     rows = build_bundles(g, n_adj=4).adjacency
     assert rows.row_count == 10 and rows.indices.max() < 4
     assert np.array_equal(rows.toarray(), dense_slot_rows(g, 4, np.arange(10)))
     # wide enough: the graph's own arrays, not copies
     wide = build_bundles(g, n_adj=10).adjacency
-    assert wide.indices is g.indices and wide.weights is g.weights
+    assert wide.indptr is g.indptr and wide.indices is g.indices
 
 
 def test_take_handles_repeats_and_empty_selections():
-    g = weighted_graph(np.random.default_rng(4), 6)
+    g = looped_graph(np.random.default_rng(4), 6)
     rows = build_bundles(g, n_adj=6).adjacency
     pick = np.array([5, -1, 0, 5, -1])
     assert np.array_equal(rows.take(pick).toarray(), dense_slot_rows(g, 6, pick))
@@ -103,7 +98,7 @@ def test_take_handles_repeats_and_empty_selections():
 @pytest.mark.parametrize("attrs", [False, True])
 def test_batch_stacks_one_csr_matrix(attrs):
     rng = np.random.default_rng(5)
-    graphs = [weighted_graph(rng, n, label=n % 2) for n in (11, 3, 8)]
+    graphs = [looped_graph(rng, n, label=n % 2) for n in (11, 3, 8)]
     if attrs:
         for g in graphs:
             g.node_attributes = rng.standard_normal((g.node_count, 2))
@@ -132,12 +127,12 @@ def test_batch_stacks_one_csr_matrix(attrs):
                                          (Strategy.SEGMENT_SHIFTING, 5)])
 def test_structure_target_equals_weight_matrix_block(strategy, k):
     rng = np.random.default_rng(6)
-    g = weighted_graph(rng, 12)
+    g = looped_graph(rng, 12)
     cfg = ModelConfig(hidden_dim=4, head_count=2, intermediate_dim=4, n_adj=15,
                       segment_k=k)
     gi = prepare_graph(g, build_bundles(g, n_adj=15), UnifyPlan(strategy, k), cfg,
                        order=rng.permutation(12))
-    w = weight_matrix(g)
+    w = adjacency_matrix(g)
     assert np.array_equal(structure_target(gi), w[np.ix_(gi.kept_nodes, gi.kept_nodes)])
 
 

@@ -66,9 +66,8 @@ def test_cross_entropy_uniform_prediction_is_ln2():
 
 def test_structure_loss_identical_embeddings_is_half():
     # two connected nodes with identical embeddings: cosine matrix is all
-    # ones, the weight matrix is [[0,1],[1,0]], so the MSE is 2/4 = 0.5
-    g = GraphInstance(node_count=2,
-                      edges=[(0, 1, 1.0), (1, 0, 1.0)], label=0)
+    # ones, the adjacency matrix is [[0,1],[1,0]], so the MSE is 2/4 = 0.5
+    g = GraphInstance(node_count=2, edges=[(0, 1)], label=0)
     ds = GraphDataset(name="PAIR", graphs=[g], class_count=2, attr_dim=0,
                       tag_vocab_size=0, max_nodes=2, avg_nodes=2.0)
     plan = UnifyPlan(Strategy.FULL_INPUT, 2)
