@@ -106,10 +106,6 @@ class Tensor:
         self.name = name
         self._tape: "weakref.ref[Tape] | None" = None
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.value.shape
-
     def _accumulate(self, g: np.ndarray, shared: bool = False) -> None:
         """Add ``g`` to the gradient buffer; with none set, ``g`` becomes it.
 

@@ -78,7 +78,11 @@ def _csr_from_arcs(n: int, edges) -> tuple:
     """CSR arrays of a sequence of (i, j) arcs, completed as the loader's."""
     # a third entry is accepted only as 1.0, the weight every arc has
     ends = []
-    for i, j, *rest in edges:
+    for arc in edges:
+        try:
+            i, j, *rest = arc
+        except (TypeError, ValueError):
+            raise ValueError(f"arc {arc} is not a sequence of at least two entries") from None
         if not all(isinstance(e, (int, np.integer)) and not isinstance(e, bool) for e in (i, j)):
             raise ValueError(f"arc ({i}, {j}) has an end that is not an integer")
         if not (0 <= i < n and 0 <= j < n):
@@ -88,45 +92,6 @@ def _csr_from_arcs(n: int, edges) -> tuple:
         ends.append((i, j))
     u, v = np.array(ends, dtype=np.int64).reshape(-1, 2).T
     return _symmetric_csr(np.arange(n) * n, np.arange(n), u, v, max(n, 1))
-
-
-def _check_csr(n: int, indptr, indices) -> None:
-    """Raise ValueError at the first fault of CSR arrays for n nodes; a
-    few numpy calls whatever the size, as the loader builds every graph
-    through here."""
-    if len(indptr) != n + 1:
-        raise ValueError(f"indptr has {len(indptr)} entries for {n} nodes, "
-                         f"expected {n + 1}")
-    if indptr[0] != 0:
-        raise ValueError(f"indptr starts at {indptr[0]}, expected 0")
-    if (indptr[1:] < indptr[:-1]).any():
-        raise ValueError("indptr decreases")
-    if indptr[-1] != len(indices):
-        raise ValueError(f"indptr ends at {indptr[-1]} but indices has "
-                         f"{len(indices)} entries")
-    if len(indices):
-        lo, hi = indices.min(), indices.max()
-        if lo < 0 or hi >= n:
-            raise ValueError(f"index {lo if lo < 0 else hi} lies outside 0..{n - 1}")
-
-
-def _check_symmetric(n: int, indptr, indices) -> None:
-    """Raise ValueError at the first row whose columns do not strictly
-    increase, then at the first arc whose reverse is missing; the arrays
-    have passed ``_check_csr``. One key per arc, row * n + column,
-    strictly increases exactly when every row does."""
-    rows, cols = np.arange(n).repeat(np.diff(indptr)), indices
-    key, reverse = rows * n + cols, cols * n + rows
-    unsorted = np.flatnonzero(key[1:] <= key[:-1])
-    if len(unsorted):
-        a = unsorted[0]
-        raise ValueError(f"row {rows[a]}'s columns do not strictly increase: "
-                         f"{cols[a]} then {cols[a + 1]}")
-    at = np.minimum(np.searchsorted(key, reverse), max(len(key) - 1, 0))
-    missing = np.flatnonzero(key[at] != reverse)
-    if len(missing):
-        a = missing[0]
-        raise ValueError(f"arc ({rows[a]}, {cols[a]}) has no reverse arc ({cols[a]}, {rows[a]})")
 
 
 def _check_rows(n: int, node_tags, node_attributes) -> None:
@@ -142,17 +107,16 @@ class GraphInstance:
     Node i's neighbours, in increasing order, are
     ``indices[indptr[i]:indptr[i + 1]]``; arcs have no weights. Build it
     from a sequence of (i, j) arcs or an (arcs, 2) integer array, which
-    is completed and de-duplicated as a loaded file is, or from integer
-    arrays, which raise ValueError when a row is not strictly increasing
-    or an arc has no reverse. Tags or attributes without one row per
-    node raise too; assigned after construction, they are checked when
-    the graph is prepared.
+    is completed and de-duplicated as a loaded file is; CSR arrays are
+    passed as their arcs, ``np.column_stack([g.arc_rows(), g.indices])``.
+    Tags or attributes without one row per node raise ValueError;
+    assigned after construction, they are checked when the graph is
+    prepared.
     """
 
     def __init__(self, node_count: int, edges: list | np.ndarray | None = None,
                  node_tags: list | None = None,
-                 node_attributes: np.ndarray | None = None, label: int = 0,
-                 *, indptr=None, indices=None):
+                 node_attributes: np.ndarray | None = None, label: int = 0):
         self.node_count = int(node_count)
         if self.node_count < 0:
             raise ValueError(f"node_count must be non-negative, got {self.node_count}")
@@ -160,25 +124,15 @@ class GraphInstance:
         self.node_tags = node_tags
         self.node_attributes = node_attributes
         self.label = label
-        if indptr is None:
-            indptr, indices = _csr_from_arcs(self.node_count, [] if edges is None else edges)
-        else:
-            indptr, indices = np.asarray(indptr), np.asarray(indices)
-            for what, values in (("indptr", indptr), ("indices", indices)):
-                if values.size and values.dtype.kind not in "iu":
-                    raise ValueError(f"{what} holds {values.dtype} values, not integers")
-            indptr, indices = (a.astype(np.int64, copy=False) for a in (indptr, indices))
-            _check_csr(self.node_count, indptr, indices)
-            _check_symmetric(self.node_count, indptr, indices)
-        self.indptr, self.indices = indptr, indices
+        self.indptr, self.indices = _csr_from_arcs(self.node_count,
+                                                   [] if edges is None else edges)
 
     @classmethod
     def _from_symmetric(cls, node_count: int, node_tags, node_attributes, label: int,
                         indptr, indices) -> "GraphInstance":
-        """A graph over CSR arrays built sorted and symmetric, with rows
-        for every node (the loader's): the constructor without
-        ``_check_symmetric`` and ``_check_rows``."""
-        _check_csr(node_count, indptr, indices)
+        """A graph over CSR arrays that ``_symmetric_csr`` built from
+        validated lines, with rows for every node (the loader's): the
+        constructor without ``_check_rows`` and without the key path."""
         graph = cls.__new__(cls)
         graph.node_count, graph.label = int(node_count), label
         graph.node_tags, graph.node_attributes = node_tags, node_attributes
@@ -395,7 +349,7 @@ def load_tu_dataset(directory: str, name: str) -> GraphDataset:
         attrs = attrs[by_graph]
 
     # the keys are sorted, distinct and symmetric, so each graph's rows
-    # are too: the graphs skip that check
+    # are too: its slices are kept as they are, with no second check
     graphs = []
     for g in range(graph_count):
         lo, hi = starts[g], starts[g + 1]

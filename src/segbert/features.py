@@ -28,7 +28,6 @@ __all__ = [
     "CsrRows",
     "GraphFeatures",
     "compute_degrees",
-    "compute_wl_codes",
     "dataset_wl_codes",
     "sinusoid_rows",
     "build_bundles",
@@ -107,12 +106,6 @@ def dataset_wl_codes(graphs: Sequence[GraphInstance],
         if len(table) == span:  # refinement never merges: stable
             break
     return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
-def compute_wl_codes(g: GraphInstance,
-                     iterations: int = DEFAULT_WL_ITERATIONS) -> list:
-    """WL codes of a single graph (its own dictionary)."""
-    return dataset_wl_codes([g], iterations)[0]
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +221,7 @@ def build_bundles(g: GraphInstance, n_adj: int,
     WL dictionary.
     """
     if wl_codes is None:
-        wl_codes = compute_wl_codes(g, wl_iterations)
+        wl_codes = dataset_wl_codes([g], wl_iterations)[0]
     if len(wl_codes) != g.node_count:
         raise ValueError(
             f"wl_codes length {len(wl_codes)} does not match {g.node_count} nodes")

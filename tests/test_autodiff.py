@@ -535,7 +535,7 @@ def test_clip_global_norm():
 def _model_shapes():
     """The tensor shapes of the default model on 25 adjacency columns."""
     from segbert.model import ModelConfig, init_params
-    return [t.shape for _, t in init_params(ModelConfig(n_adj=25)).items()]
+    return [t.value.shape for _, t in init_params(ModelConfig(n_adj=25)).items()]
 
 
 def _flat(arrays):
@@ -726,7 +726,7 @@ def test_one_input_op_records_one_entry_only_for_an_input_needing_a_gradient(op)
     entry, = tape.entries
     assert entry.op == op and entry.output is out
     assert len(entry.inputs) == 1 and entry.inputs[0] is a
-    out.grad = rng.standard_normal(out.shape)
+    out.grad = rng.standard_normal(out.value.shape)
     entry.backward()
     assert a.grad.shape == x.shape and np.isfinite(a.grad).all() and a.grad.any()
 

@@ -7,7 +7,6 @@ from segbert.dataset import GraphInstance
 from segbert.features import (
     build_bundles,
     compute_degrees,
-    compute_wl_codes,
     dataset_bundles,
     dataset_wl_codes,
     sinusoid_rows,
@@ -58,13 +57,13 @@ def test_degree_sum_is_twice_edge_count():
 
 def test_wl_edgeless_graph_single_color():
     g = GraphInstance(node_count=4, edges=[])
-    codes = compute_wl_codes(g, iterations=2)
+    codes = dataset_wl_codes([g], iterations=2)[0]
     assert len(set(codes)) == 1
     assert codes[0] == 0  # dense compression starts at 0
 
 
 def test_wl_path_endpoints_share_color():
-    codes = compute_wl_codes(path_graph(3), iterations=2)
+    codes = dataset_wl_codes([path_graph(3)], iterations=2)[0]
     assert codes[0] == codes[2]
     assert codes[1] != codes[0]
 
@@ -105,16 +104,16 @@ def test_wl_uses_tags_as_initial_colors_when_present():
     g = path_graph(3)
     tagged = path_graph(3)
     tagged.node_tags = [5, 5, 5]  # identical tags: 0 rounds leave one color
-    assert len(set(compute_wl_codes(tagged, iterations=0))) == 1
+    assert len(set(dataset_wl_codes([tagged], iterations=0)[0])) == 1
     # with degree init, iterations=0 already separates mid from ends
-    assert len(set(compute_wl_codes(g, iterations=0))) == 2
+    assert len(set(dataset_wl_codes([g], iterations=0)[0])) == 2
 
 
 def test_wl_refinement_is_monotone():
     rng = np.random.default_rng(41)
     for _ in range(25):
         g = random_graph(rng, lo=4, hi=12)
-        parts = [partition_of(compute_wl_codes(g, iterations=t)) for t in range(4)]
+        parts = [partition_of(dataset_wl_codes([g], iterations=t)[0]) for t in range(4)]
         for coarse, fine in zip(parts, parts[1:]):
             holder = {}
             for gid, group in enumerate(coarse):
@@ -170,7 +169,7 @@ def test_wl_codes_equal_oracle_numbering(iterations):
     want = _first_appearance(brute_force_wl(graphs, iterations))
     assert dataset_wl_codes(graphs, iterations) == want
     for g, row in zip(graphs, want):
-        assert compute_wl_codes(g, iterations) == _first_appearance([row])[0]
+        assert dataset_wl_codes([g], iterations)[0] == _first_appearance([row])[0]
 
 
 def _disjoint_union(graphs):
@@ -194,7 +193,7 @@ def test_wl_component_codes_do_not_depend_on_graph_boundaries(p3_first):
 @pytest.mark.parametrize("iterations", [1, 2, 3])
 def test_wl_codes_equal_codes_of_the_disjoint_union(iterations):
     graphs = [g for g in _mixed_wl_set() if g.node_tags is None]
-    union = compute_wl_codes(_disjoint_union(graphs), iterations)
+    union = dataset_wl_codes([_disjoint_union(graphs)], iterations)[0]
     bounds = np.cumsum([0] + [g.node_count for g in graphs]).tolist()
     want = [union[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     assert dataset_wl_codes(graphs, iterations) == want
