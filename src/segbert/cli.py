@@ -16,10 +16,12 @@ import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 
+from .autodiff import NonFiniteError
 from .dataset import DatasetError, GraphDataset, load_tu_dataset
 from .gradcheck import TOLERANCE, model_gradcheck
 from .model import RESIDUAL_MODES, ModelConfig, ModelParams, config_for, save_checkpoint
 from .training import (
+    FoldError,
     TrainConfig,
     blas_threads,
     check_jobs,
@@ -87,7 +89,8 @@ class RunConfig:
     grad_clip: float | None = _train("grad_clip", "global gradient-norm cap (off if unset)")
     jobs: int = _key(1, "parallel fold workers")
     out: str = _key("", "output directory (default runs/<dataset>)")
-    checkpoint: str = _key("", "write best-validation fold parameters here")
+    checkpoint: str = _key("", "write here the final (train+val refit) parameters of the "
+                               "fold with the best validation accuracy, lowest index on ties")
 
     def to_text(self) -> str:
         lines = []
@@ -309,7 +312,8 @@ def main(argv=None) -> int:
     set_blas_threads(1)
     try:
         return args.func(args)
-    except (DatasetError, OSError, ValueError) as exc:
+    # a fold's failure, or pre-training's non-finite value, is one line too
+    except (DatasetError, OSError, ValueError, FoldError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -162,13 +162,6 @@ class CsrRows:
         src = np.arange(indptr[-1]) + (starts - indptr[:-1]).repeat(counts)
         return CsrRows(indptr, self.indices[src], self.width)
 
-    def toarray(self) -> np.ndarray:
-        """The dense (rows, width) array."""
-        out = np.zeros((self.row_count, self.width))
-        rows = np.arange(self.row_count).repeat(np.diff(self.indptr))
-        out[rows, self.indices] = 1.0
-        return out
-
     @staticmethod
     def stack(parts: Sequence["CsrRows"]) -> "CsrRows":
         """The rows of every part, in order; a single part as it is."""

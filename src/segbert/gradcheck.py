@@ -3,8 +3,9 @@
 A fixed 5-node toy graph runs through the full network in eval mode
 (dropout is the identity there, keeping the loss a deterministic
 function of the parameters). The loss sums the classification
-cross-entropy with both pre-training losses so every parameter group,
-heads included, receives gradient. Each parameter entry is then
+cross-entropy with the pre-training losses (reconstruction only when
+the toy graph has attributes) so every parameter group, heads
+included, receives gradient. Each parameter entry is then
 perturbed by a central step and compared against the tape's analytic
 gradient. ``finite_difference_check`` is that comparison for any loss
 built on a tape, so tests can run it on batched, segmented and
@@ -126,7 +127,8 @@ def model_gradcheck(residual_mode: str = ModelConfig.residual_mode,
     batch = build_batch([gi], cfg.class_count)
     onehot = batch.labels_onehot
     target_w = structure_target(gi)
-    raw_target = batch.raw_rows(batch.real_slot_lists[0])
+    real = batch.real_slot_lists[0]
+    attr_target = batch.attr[real] if attr_dim > 0 else None
 
     # each layer's input, then the encoder output, at the analytic pass
     layer_inputs = []
@@ -139,13 +141,15 @@ def model_gradcheck(residual_mode: str = ModelConfig.residual_mode,
             layer_inputs.extend(Tensor(e.inputs[0].value) for e in tape.entries
                                 if e.op == "attention_block")
             layer_inputs.append(Tensor(h.value))
-        h_final = tape.take_rows(h, batch.real_slot_lists[0])
+        h_final = tape.take_rows(h, real)
         z = tape.mean_rows(h, batch.real_slot_lists)
         logits = tape.linear(z, params["classifier.weight"], params["classifier.bias"])
-        ce = tape.cross_entropy(logits, onehot)
-        recon = tape.mse(reconstruct_attributes(tape, params, h_final), raw_target)
-        struct = tape.mse(recover_structure(tape, h_final), target_w)
-        return tape.add_n([ce, recon, struct])
+        terms = [tape.cross_entropy(logits, onehot)]
+        if attr_target is not None:
+            terms.append(tape.mse(reconstruct_attributes(tape, params, h_final),
+                                  attr_target))
+        terms.append(tape.mse(recover_structure(tape, h_final), target_w))
+        return tape.add_n(terms)
 
     def loss_for(name: str):
         layer = resume_layer(name, cfg.layer_count)

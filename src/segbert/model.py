@@ -10,8 +10,8 @@ ones. The graph representation is the mean of the real-node rows: one
 grouped ``mean_rows`` op per batch sums each graph's own rows, so a
 graph's pooled row has the same bits in any batch. It feeds a linear
 softmax classifier. Two auxiliary heads support pre-training: a linear
-reconstruction of the raw rows and a row-pair cosine recovery of the
-adjacency matrix.
+reconstruction of the node attributes (built only when the dataset has
+them) and a row-pair cosine recovery of the adjacency matrix.
 
 Attention is executed in blocked form: all segments of a minibatch are
 stacked into one (segments * k) x d_h matrix. One fused
@@ -34,9 +34,8 @@ and every graph's GraphInputs holds views of the dataset-wide arrays.
 The adjacency channel is sparse from end to end: each graph's slot
 rows are CSR arrays gathered from its own, a batch stacks them into one
 set of CSR arrays, and ``adj_embed.fc1`` (and the raw residual, when
-the raw rows are the adjacency rows) multiplies them as one scipy CSR
-matrix, built at the first product. Its cost is O(arcs), not
-O(slots x n_adj).
+there are no attributes) multiplies them as one scipy CSR matrix,
+built at the first product. Its cost is O(arcs), not O(slots x n_adj).
 """
 
 from __future__ import annotations
@@ -124,11 +123,6 @@ class ModelConfig:
             raise ValueError(f"segment_k must be positive, got {self.segment_k}")
         if self.wl_iterations < 0:
             raise ValueError(f"wl_iterations must be non-negative, got {self.wl_iterations}")
-
-    @property
-    def raw_width(self) -> int:
-        """Width of the raw per-node matrix: attributes, else adjacency."""
-        return self.attr_dim if self.attr_dim > 0 else self.n_adj
 
 
 def config_for(dataset: GraphDataset, plan: UnifyPlan, **overrides) -> ModelConfig:
@@ -235,12 +229,14 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
         bias(f"layers.{l}.norm2.gain", d, 1.0)
         bias(f"layers.{l}.norm2.bias", d)
     if config.residual_mode == "raw":
-        weight("residual.weight", config.raw_width, d)
+        # the raw rows: attributes, else adjacency
+        weight("residual.weight", config.attr_dim or config.n_adj, d)
         bias("residual.bias", d)
     weight("classifier.weight", d, config.class_count)
     bias("classifier.bias", config.class_count)
-    weight("reconstruct.weight", d, config.raw_width)
-    bias("reconstruct.bias", config.raw_width)
+    if config.attr_dim > 0:  # drawn last: its draws move no other tensor's bits
+        weight("reconstruct.weight", d, config.attr_dim)
+        bias("reconstruct.bias", config.attr_dim)
     # the arenas start at zero; weights are drawn in parameter order
     params = ModelParams(shapes)
     rng = np.random.default_rng(seed)
@@ -389,23 +385,18 @@ def _prepare(graphs: list, features: list, plan: UnifyPlan, config: ModelConfig,
 
 @dataclass
 class BatchData:
-    """Stacked slot rows of a batch. ``raw`` is ``attr`` when there are
-    attributes and ``adj`` otherwise. ``real_slot_lists`` holds each
-    graph's real slots, checked once as the groups pooling averages."""
+    """Stacked slot rows of a batch. ``attr`` holds the node attributes
+    (None without them), the rows that reconstruction decodes; the raw
+    residual reads them, else the adjacency rows. ``real_slot_lists``
+    holds each graph's real slots, checked once as the groups pooling
+    averages."""
 
     const: np.ndarray
     adj: CsrRows
     attr: np.ndarray | None
-    raw: np.ndarray | CsrRows
     real_slot_lists: RowGroups
     labels_onehot: np.ndarray
     members: list
-
-    def raw_rows(self, slots) -> np.ndarray:
-        """Dense raw rows at the given slots (a reconstruction target)."""
-        if isinstance(self.raw, CsrRows):
-            return self.raw.take(slots).toarray()
-        return self.raw[slots]
 
 
 def build_batch(graph_inputs: list, class_count: int) -> BatchData:
@@ -429,7 +420,6 @@ def build_batch(graph_inputs: list, class_count: int) -> BatchData:
         const=np.concatenate(consts, axis=0),
         adj=adj,
         attr=attr,
-        raw=adj if attr is None else attr,
         real_slot_lists=RowGroups(real_lists, offset),
         labels_onehot=labels,
         members=list(graph_inputs),
@@ -499,7 +489,7 @@ def encode(tape: Tape, params: ModelParams, config: ModelConfig,
         first, h = start
     res_term = None
     if config.residual_mode == "raw" and first < config.layer_count:
-        raw = batch.raw.matrix if isinstance(batch.raw, CsrRows) else batch.raw
+        raw = batch.adj.matrix if batch.attr is None else batch.attr
         res_term = _linear(tape, params, "residual", raw)
     for l in range(first, config.layer_count):
         h = transformer_layer(tape, params, config, h, l, training, res_term)
@@ -517,7 +507,7 @@ def classify_batch(tape: Tape, params: ModelParams, config: ModelConfig,
 
 
 def reconstruct_attributes(tape: Tape, params: ModelParams, h_final: Tensor) -> Tensor:
-    """Linear head mapping node representations back to raw rows."""
+    """Linear head mapping node representations back to their attributes."""
     return _linear(tape, params, "reconstruct", h_final)
 
 

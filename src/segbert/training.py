@@ -45,6 +45,7 @@ from .unify import UnifyPlan
 
 __all__ = [
     "EpochStats",
+    "FoldError",
     "FoldReport",
     "PRETRAIN_TASKS",
     "RunSummary",
@@ -334,23 +335,31 @@ def evaluate_accuracy(params: ModelParams, config: ModelConfig, inputs: list,
 # pre-training
 
 
+def _check_tasks(tasks, config: ModelConfig) -> None:
+    """Only a model with node attributes has a reconstruction head."""
+    if "reconstruction" in tasks and config.attr_dim == 0:
+        raise ValueError("reconstruction pre-training needs node attributes; "
+                         "this dataset has none (use the structure task only)")
+
+
 def pretrain_batch_loss(tape: Tape, params: ModelParams, config: ModelConfig,
                         batch, tasks, training: bool):
     """Summed task losses over a batch.
 
-    Reconstruction: MSE between the decoded rows and the raw channel of
+    Reconstruction: MSE between the decoded rows and the attributes of
     every real node. Structure: MSE between pairwise cosine similarity
     and the kept-node adjacency matrix; graphs with fewer than two real
     nodes contribute no structure term (the matrix is degenerate there).
     Returns None when no graph contributes a term.
     """
+    _check_tasks(tasks, config)
     h = encode(tape, params, config, batch, training)
     terms = []
     for gi, slots in zip(batch.members, batch.real_slot_lists):
         h_final = tape.take_rows(h, slots)
         if "reconstruction" in tasks:
             terms.append(tape.mse(reconstruct_attributes(tape, params, h_final),
-                                  batch.raw_rows(slots)))
+                                  batch.attr[slots]))
         if "structure" in tasks and len(slots) >= 2:
             terms.append(tape.mse(recover_structure(tape, h_final),
                                   structure_target(gi)))
@@ -372,10 +381,7 @@ def pretrain(inputs: list, config: ModelConfig, train_cfg: TrainConfig,
     tasks = tuple(train_cfg.pretrain_tasks)
     if not tasks:
         raise ValueError("pre-training needs at least one task")
-    if "reconstruction" in tasks and config.attr_dim == 0:
-        raise ValueError(
-            "reconstruction pre-training needs node attributes; "
-            "this dataset has none (use the structure task only)")
+    _check_tasks(tasks, config)
     # fold ids run 0..9; 10 is reserved for the shared pre-training pass
     init_seed, rng, tape_seed = _fold_streams(train_cfg.seed, 10)[:3]
     params = init_params(config, seed=init_seed)
@@ -476,6 +482,10 @@ def finetune_fold(inputs: list, split: FoldSplit, config: ModelConfig,
 # cross-validation driver
 
 
+class FoldError(RuntimeError):
+    """A cross-validation fold raised; the message names the fold."""
+
+
 def check_jobs(jobs: int) -> None:
     """Raise ValueError unless ``jobs`` allows at least one fold at a time."""
     if jobs < 1:
@@ -526,7 +536,7 @@ def run_cv(dataset: GraphDataset, plan: UnifyPlan, config: ModelConfig,
             try:
                 reports.append(next(results))
             except Exception as exc:
-                raise RuntimeError(f"fold {fold} failed: {exc}") from exc
+                raise FoldError(f"fold {fold} failed: {exc}") from exc
 
     accs = np.array([r.final_test_accuracy for r in reports])
     summary = RunSummary(

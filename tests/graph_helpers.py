@@ -6,7 +6,7 @@ import numpy as np
 
 from segbert.autodiff import Tape, Tensor
 from segbert.dataset import GraphInstance
-from segbert.features import sinusoid_rows
+from segbert.features import CsrRows, sinusoid_rows
 from segbert.model import GraphInputs, ModelConfig, ModelParams, build_batch, encode
 
 
@@ -25,6 +25,13 @@ def adjacency_matrix(g: GraphInstance) -> np.ndarray:
     w = np.zeros((g.node_count, g.node_count))
     w[g.arc_rows(), g.indices] = 1.0
     return w
+
+
+def dense_rows(rows: CsrRows) -> np.ndarray:
+    """The dense (rows, width) 0/1 array of CSR rows."""
+    out = np.zeros((rows.row_count, rows.width))
+    out[np.arange(rows.row_count).repeat(np.diff(rows.indptr)), rows.indices] = 1.0
+    return out
 
 
 def arc_list(g: GraphInstance) -> list:

@@ -533,9 +533,13 @@ def test_clip_global_norm():
 
 
 def _model_shapes():
-    """The tensor shapes of the default model on 25 adjacency columns."""
+    """The tensor shapes of the default model on 25 adjacency columns and
+    3 node attributes: 40 tensors, the attribute embedding and the
+    reconstruction head among them. Their seed-0 clipping draws sum to
+    other bits in one whole-vector sum than in per-tensor sums, which the
+    clipping control needs; the attribute-less shapes do not."""
     from segbert.model import ModelConfig, init_params
-    return [t.value.shape for _, t in init_params(ModelConfig(n_adj=25)).items()]
+    return [t.value.shape for _, t in init_params(ModelConfig(n_adj=25, attr_dim=3)).items()]
 
 
 def _flat(arrays):

@@ -312,6 +312,23 @@ def test_train_bad_pretrain_task_exit_1(data_dir, tmp_path, capsys):
     assert "unknown pre-training task" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pretrain, where", [
+    ([], "fold 0 failed: "),
+    (["--pretrain", "structure", "--pretrain-epochs", "1"], ""),  # before the folds
+], ids=["fold", "pretraining"])
+def test_train_non_finite_value_is_one_error_line_exit_1(pretrain, where, tmp_path, capsys):
+    ds = synth_dataset(count=12, seed=3, with_attrs=True, name="SYNTH")
+    ds.graphs[0].node_attributes[0] = 1e308  # overflows in the first layer
+    (tmp_path / "SYNTH").mkdir()
+    write_tu_dataset(ds, str(tmp_path / "SYNTH"))
+    with np.errstate(all="ignore"):  # numpy's overflow warnings are errors in this suite
+        code = main(["train", "--dataset", "SYNTH", "--data-dir", str(tmp_path),
+                     "--out", str(tmp_path / "out")] + pretrain + TINY_FLAGS)
+    assert code == 1
+    assert re.fullmatch(rf"error: {where}op '\w+' produced a non-finite value\n",
+                        capsys.readouterr().err)
+
+
 # ----------------------------------------------------------------------
 # gradcheck
 

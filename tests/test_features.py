@@ -14,7 +14,8 @@ from segbert.features import (
 
 from conftest import (attach_attrs, attach_tags, cycle_graph, path_graph, random_graph,
                       star_graph, synth_dataset)
-from graph_helpers import arc_list, positional_embedding, recorded_sorts, undirected_edge_count
+from graph_helpers import (arc_list, dense_rows, positional_embedding, recorded_sorts,
+                           undirected_edge_count)
 from wl_oracle import brute_force_wl, partition_of
 
 
@@ -305,7 +306,7 @@ def test_sinusoid_rows_matches_scalar():
 def test_bundle_two_node_path():
     g = path_graph(2)
     features = build_bundles(g, n_adj=4)
-    adjacency = features.adjacency.toarray()
+    adjacency = dense_rows(features.adjacency)
     assert features.degrees[0] == 1
     assert np.array_equal(adjacency[0], [0.0, 1.0, 0.0, 0.0])
     assert features.attributes is None
@@ -316,7 +317,7 @@ def test_bundle_two_node_path():
 def test_bundle_adjacency_truncation():
     g = cycle_graph(6)
     features = build_bundles(g, n_adj=3)
-    adjacency = features.adjacency.toarray()
+    adjacency = dense_rows(features.adjacency)
     # node 5 connects to 4 and 0; only column 0 survives truncation
     assert np.array_equal(adjacency[5], [1.0, 0.0, 0.0])
     assert adjacency.shape == (6, 3)

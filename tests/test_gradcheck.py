@@ -63,13 +63,15 @@ def test_gradcheck_passes_with_raw_residual():
 
 
 def test_gradcheck_covers_every_parameter_group():
-    kwargs = small_kwargs(residual_mode="raw")
-    report = model_gradcheck(**kwargs)
-    cfg = ModelConfig(hidden_dim=8, head_count=2, layer_count=1,
-                      intermediate_dim=6, residual_mode="raw", class_count=2,
-                      attr_dim=3, use_tags=True, n_adj=5, segment_k=5)
-    expected = set(init_params(cfg).names())
-    assert set(report.errors) == expected
+    # without attributes there is no reconstruction head to check
+    for attr_dim in (3, 0):
+        report = model_gradcheck(attr_dim=attr_dim, **small_kwargs(residual_mode="raw"))
+        cfg = ModelConfig(hidden_dim=8, head_count=2, layer_count=1,
+                          intermediate_dim=6, residual_mode="raw", class_count=2,
+                          attr_dim=attr_dim, use_tags=True, n_adj=5, segment_k=5)
+        expected = set(init_params(cfg).names())
+        assert set(report.errors) == expected
+        assert any(name.startswith("reconstruct.") for name in expected) == (attr_dim > 0)
 
 
 def test_gradcheck_adjacency_raw_variant():

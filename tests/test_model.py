@@ -90,10 +90,11 @@ def test_residual_and_attr_params_only_when_configured():
     plain = init_params(tiny_config(), seed=0)
     assert "residual.weight" not in plain.names()
     assert "attr_embed.weight" not in plain.names()
-    # no attributes: raw width falls back to the adjacency row width
+    # no attributes: the raw residual reads the adjacency rows, and there
+    # is no reconstruction head, since reconstruction decodes attributes
     raw = init_params(tiny_config(residual_mode="raw"), seed=0)
     assert raw["residual.weight"].value.shape == (4, 8)
-    assert raw["reconstruct.weight"].value.shape == (8, 4)
+    assert not any(name.startswith("reconstruct.") for name in plain.names() + raw.names())
 
 
 def test_config_validation_errors():
@@ -395,7 +396,7 @@ def test_segment_shifting_28_nodes_two_segments_concatenate():
         adj = batch.adj.take(rows)
         part = BatchData(
             const=batch.const[rows], adj=adj, attr=None,
-            raw=adj, real_slot_lists=[np.arange(20)],
+            real_slot_lists=[np.arange(20)],
             labels_onehot=np.zeros((1, 2)), members=[gi])
         alone = encode(Tape(), params, cfg, part, training=False)
         assert np.allclose(alone.value, full.value[rows], atol=1e-10)
@@ -547,19 +548,26 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_a_checkpoint_with_key_biases_loads_and_no_forward_reads_them(tmp_path):
     """Checkpoints from before the key projection lost its bias hold a
-    layers.{l}.attn.key.bias tensor per layer; they load with it kept."""
+    layers.{l}.attn.key.bias tensor per layer, and attribute-less ones
+    from before reconstruction read attributes only hold a
+    reconstruct.* head n_adj wide; they load with those tensors kept."""
     cfg, params, gi = toy_inputs(Strategy.SEGMENT_SHIFTING, k=4, n=7)
-    arrays = {name: t.value for name, t in params.items()}
-    for layer in range(cfg.layer_count):
-        arrays[f"layers.{layer}.attn.key.bias"] = np.full((1, cfg.hidden_dim), 0.3)
-    path = str(tmp_path / "old.ckpt")
-    save_checkpoint(ModelParams.from_arrays(arrays), path)
-    loaded = load_checkpoint(path)
-    assert np.array_equal(loaded["layers.1.attn.key.bias"].value, arrays["layers.1.attn.key.bias"])
+    d = cfg.hidden_dim
+    key_biases = {f"layers.{layer}.attn.key.bias": np.full((1, d), 0.3)
+                  for layer in range(cfg.layer_count)}
+    head = {"reconstruct.weight": np.full((d, cfg.n_adj), 0.2),
+            "reconstruct.bias": np.full((1, cfg.n_adj), 0.1)}
     batch = build_batch([gi], cfg.class_count)
-    old, new = (classify_batch(Tape(), p, cfg, batch, training=False)[1].value
-                for p in (loaded, params))
-    assert np.array_equal(old, new)
+    for extra in (key_biases, head):
+        arrays = {name: t.value for name, t in params.items()} | extra
+        path = str(tmp_path / "old.ckpt")
+        save_checkpoint(ModelParams.from_arrays(arrays), path)
+        loaded = load_checkpoint(path)
+        for name, value in extra.items():
+            assert np.array_equal(loaded[name].value, value), name
+        old, new = (classify_batch(Tape(), p, cfg, batch, training=False)[1].value
+                    for p in (loaded, params))
+        assert np.array_equal(old, new)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

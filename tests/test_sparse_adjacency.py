@@ -24,7 +24,7 @@ from segbert.model import (
 from segbert.unify import Strategy, UnifyPlan, resolve_plan
 
 from conftest import path_graph
-from graph_helpers import adjacency_matrix
+from graph_helpers import adjacency_matrix, dense_rows
 
 
 def looped_graph(rng, n: int, p: float = 0.35, label: int = 0) -> GraphInstance:
@@ -73,14 +73,14 @@ def test_prepared_csr_rows_equal_dense_gather(strategy, k, n_adj, n, permuted):
     assert isinstance(gi.adj_rows, CsrRows)
     assert gi.adj_rows.width == n_adj
     expected = dense_slot_rows(g, n_adj, slot_nodes(gi))
-    assert np.array_equal(gi.adj_rows.toarray(), expected)
+    assert np.array_equal(dense_rows(gi.adj_rows), expected)
 
 
 def test_truncated_features_keep_only_columns_below_n_adj():
     g = looped_graph(np.random.default_rng(3), 10, p=0.6)
     rows = build_bundles(g, n_adj=4).adjacency
     assert rows.row_count == 10 and rows.indices.max() < 4
-    assert np.array_equal(rows.toarray(), dense_slot_rows(g, 4, np.arange(10)))
+    assert np.array_equal(dense_rows(rows), dense_slot_rows(g, 4, np.arange(10)))
     # wide enough: the graph's own arrays, not copies
     wide = build_bundles(g, n_adj=10).adjacency
     assert wide.indptr is g.indptr and wide.indices is g.indices
@@ -90,9 +90,9 @@ def test_take_handles_repeats_and_empty_selections():
     g = looped_graph(np.random.default_rng(4), 6)
     rows = build_bundles(g, n_adj=6).adjacency
     pick = np.array([5, -1, 0, 5, -1])
-    assert np.array_equal(rows.take(pick).toarray(), dense_slot_rows(g, 6, pick))
+    assert np.array_equal(dense_rows(rows.take(pick)), dense_slot_rows(g, 6, pick))
     empty = rows.take(np.array([], dtype=np.int64))
-    assert empty.row_count == 0 and empty.toarray().shape == (0, 6)
+    assert empty.row_count == 0 and dense_rows(empty).shape == (0, 6)
 
 
 @pytest.mark.parametrize("attrs", [False, True])
@@ -107,19 +107,16 @@ def test_batch_stacks_one_csr_matrix(attrs):
     plan = UnifyPlan(Strategy.SEGMENT_SHIFTING, 4)
     inputs = [prepare_graph(g, build_bundles(g, n_adj=12), plan, cfg) for g in graphs]
     batch = build_batch(inputs, 2)
-    expected = np.concatenate([gi.adj_rows.toarray() for gi in inputs])
-    assert np.array_equal(batch.adj.toarray(), expected)
+    expected = np.concatenate([dense_rows(gi.adj_rows) for gi in inputs])
+    assert np.array_equal(dense_rows(batch.adj), expected)
     # one scipy matrix per batch, sharing the stacked arrays
     matrix = batch.adj.matrix
     assert isinstance(matrix, sparse.csr_array) and batch.adj.matrix is matrix
     assert np.array_equal(matrix.toarray(), expected)
-    slots = batch.real_slot_lists[2]
     if attrs:
-        assert batch.raw is batch.attr
-        assert np.array_equal(batch.raw_rows(slots), batch.attr[slots])
+        assert np.array_equal(batch.attr, np.concatenate([gi.attr_rows for gi in inputs]))
     else:
-        assert batch.raw is batch.adj  # an alias, not a second copy
-        assert np.array_equal(batch.raw_rows(slots), expected[slots])
+        assert batch.attr is None
 
 
 @pytest.mark.parametrize("strategy, k", [(Strategy.FULL_INPUT, 12),

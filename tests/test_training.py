@@ -17,6 +17,7 @@ from segbert.autodiff import Tape
 from segbert.dataset import FoldSplit, make_folds
 from segbert.features import build_bundles
 from segbert.model import (
+    build_batch,
     config_for,
     init_params,
     prepare_dataset,
@@ -31,6 +32,7 @@ from segbert.training import (
     evaluate_accuracy,
     finetune_fold,
     pretrain,
+    pretrain_batch_loss,
     run_cv,
     write_reports,
 )
@@ -152,6 +154,12 @@ def test_pretrain_reconstruction_needs_attributes():
     cfg = TrainConfig(pretrain_tasks=("reconstruction", "structure"))
     with pytest.raises(ValueError, match="node attributes"):
         pretrain(inputs, config, cfg)
+    # the model has no reconstruction head, and a batch loss says why
+    params = init_params(config, seed=0)
+    assert not any(name.startswith("reconstruct.") for name in params.names())
+    batch = build_batch(inputs[:2], config.class_count)
+    with pytest.raises(ValueError, match="node attributes"):
+        pretrain_batch_loss(Tape(), params, config, batch, ("reconstruction",), training=True)
 
 
 def test_pretrain_structure_loss_decreases_on_average():

@@ -20,6 +20,7 @@ from segbert.unify import (
 )
 
 from conftest import cycle_graph, synth_dataset
+from graph_helpers import dense_rows
 
 
 def named_dataset(name, max_nodes=30, avg=17.9):
@@ -150,8 +151,8 @@ def test_dummy_slots_get_zero_features():
     cfg = ModelConfig(hidden_dim=4, head_count=2, intermediate_dim=4,
                       use_tags=True, n_adj=5, segment_k=5)
     gi = prepare_graph(g, features, UnifyPlan(Strategy.FULL_INPUT, 5), cfg)
-    adj_rows = gi.adj_rows.toarray()
-    assert np.array_equal(adj_rows[:3], features.adjacency.toarray())
+    adj_rows = dense_rows(gi.adj_rows)
+    assert np.array_equal(adj_rows[:3], dense_rows(features.adjacency))
     # dummies: degree 0, WL code 0, no tag, zero adjacency, no attributes
     zero = sinusoid_rows([0.0], 4)[0]
     assert np.array_equal(gi.const_rows[3:], np.tile(zero + zero, (2, 1)))

@@ -5,8 +5,10 @@ Traces, with ``sys.settrace``, every line of ``src/segbert`` executed by:
 - one pass of each perfbench workload at ``--tiny`` (seed 1), once with
   a plain ``spans.Tracer()`` and once with ``Tracer(fine=True, ops=True)``;
 - every script in ``demos/``, run as ``__main__``;
-- ``segbert train --jobs 1``, ``segbert inspect`` and
-  ``segbert gradcheck --hidden 2 --intermediate 2`` on the tiny sets.
+- ``segbert train --jobs 1`` and ``segbert inspect`` on the tiny sets,
+  ``segbert gradcheck --hidden 2 --intermediate 2``, and the same
+  gradcheck with ``--attr-dim 0 --residual raw``, whose raw residual
+  reads the adjacency rows.
 
 It then prints, per module, the statements inside function bodies whose
 lines never ran, leaving out ``raise`` statements (error paths are the
@@ -99,10 +101,12 @@ def _run_everything(work: Path) -> None:
     finally:
         os.chdir(cwd)
     mutag = ["--dataset", synth.NAMES["mutag-pp"], "--data-dir", str(sets["mutag-pp"])]
+    tiny = ["gradcheck", "--hidden", "2", "--intermediate", "2"]
     for argv in (["train", *mutag, "--strategy", "padding-pruning", "--epochs", "2",
                   "--jobs", "1", "--out", str(work / "runs")],
                  ["inspect", *mutag],
-                 ["gradcheck", "--hidden", "2", "--intermediate", "2"]):
+                 tiny,
+                 [*tiny, "--attr-dim", "0", "--residual", "raw"]):
         if cli.main(argv) != 0:
             raise SystemExit(f"segbert {' '.join(argv)} failed")
 
